@@ -90,8 +90,10 @@ int main() {
       size_t pos = text.find(needle);
       text.replace(pos, needle.size(),
                    "\"" + schema->fragments[f].name() + "\"");
-      plan.subqueries.push_back(middleware::SubQuery{
-          schema->fragments[f].name(), f, std::move(text)});
+      plan.subqueries.push_back(
+          middleware::SubQuery{.fragment = schema->fragments[f].name(),
+                               .node = f,
+                               .query = std::move(text)});
     }
     double sum = 0.0;
     size_t counted = 0;

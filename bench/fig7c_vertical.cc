@@ -82,13 +82,18 @@ int main() {
   workload::PrintTable(
       "Fig 7(c) - vertical fragmentation (prolog/body/epilog)",
       {"centralized", "3 vertical frags"}, series, queries);
-  std::printf("\nper-query routing (fragmented deployment):\n");
+  // The modeled response splits into slowest node + compose +
+  // transmission: which part dominates says why a join query loses.
+  std::printf("\nper-query routing and response split (fragmented "
+              "deployment):\n");
   for (size_t q = 0; q < queries.size(); ++q) {
-    std::printf("  %-4s sub-queries=%zu%s\n", queries[q].id.c_str(),
-                series[1][q].subqueries,
-                series[1][q].composition_ms > series[1][q].slowest_node_ms
-                    ? "  (join-dominated)"
-                    : "");
+    const workload::Measurement& m = series[1][q];
+    std::printf(
+        "  %-4s sub-queries=%zu  node %8.2f ms  compose %8.2f ms  "
+        "transmission %8.2f ms%s\n",
+        queries[q].id.c_str(), m.subqueries, m.slowest_node_ms,
+        m.composition_ms, m.transmission_ms,
+        m.composition_ms > m.slowest_node_ms ? "  (join-dominated)" : "");
   }
   std::printf("\nqueries:\n");
   for (const workload::QuerySpec& q : queries) {

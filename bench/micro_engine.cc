@@ -173,8 +173,8 @@ void BM_DecomposeQuery(benchmark::State& state) {
     schema.fragments.emplace_back(
         frag::HorizontalDef{"f" + std::to_string(f), *mu});
     placements.push_back(
-        middleware::FragmentPlacement{"f" + std::to_string(f),
-                                      static_cast<size_t>(f)});
+        middleware::FragmentPlacement{.fragment = "f" + std::to_string(f),
+                                      .node = static_cast<size_t>(f)});
   }
   (void)catalog.Register(schema, placements);
   middleware::QueryDecomposer decomposer(&catalog);

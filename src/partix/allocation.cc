@@ -28,7 +28,8 @@ Result<std::vector<FragmentPlacement>> ComputePlacements(
   switch (strategy) {
     case PlacementStrategy::kRoundRobin: {
       for (size_t i = 0; i < fragments.size(); ++i) {
-        FragmentPlacement p{fragments[i].name(), i % node_count};
+        FragmentPlacement p{.fragment = fragments[i].name(),
+                            .node = i % node_count};
         for (size_t r = 1; r < replication_factor; ++r) {
           p.backups.push_back((i + r) % node_count);
         }
@@ -51,7 +52,7 @@ Result<std::vector<FragmentPlacement>> ComputePlacements(
       placements.resize(fragments.size());
       for (size_t idx : order) {
         std::vector<bool> holds(node_count, false);
-        FragmentPlacement p{fragments[idx].name(), 0};
+        FragmentPlacement p{.fragment = fragments[idx].name()};
         for (size_t r = 0; r < replication_factor; ++r) {
           size_t lightest = node_count;
           for (size_t n = 0; n < node_count; ++n) {

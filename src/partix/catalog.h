@@ -29,11 +29,12 @@ class SchemaCatalog {
 /// Where one fragment lives: a primary cluster node plus zero or more
 /// backup replicas (failover order). Every listed node holds a full copy
 /// of the fragment; the query service prefers the primary and the
-/// executor fails over along `backups` when nodes are unreachable.
+/// executor fails over along `backups` when nodes are unreachable. All
+/// members have defaults: designated initializers may name a prefix.
 struct FragmentPlacement {
   std::string fragment;
-  size_t node = 0;              // primary replica
-  std::vector<size_t> backups;  // additional replicas, in failover order
+  size_t node = 0;                // primary replica
+  std::vector<size_t> backups{};  // additional replicas, in failover order
   /// Expected content digest of the fragment's stored bytes (name-ordered
   /// FNV-1a over (doc name, xml) pairs; see
   /// xdb::Database::CollectionContentDigest), recorded by the publisher

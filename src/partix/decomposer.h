@@ -27,22 +27,22 @@ enum class Composition {
 
 const char* CompositionName(Composition c);
 
-/// One sub-query routed to one fragment's replica set.
+/// One sub-query routed to one fragment's replica set. All members have
+/// defaults: hand-built plans name a prefix with designated initializers.
 struct SubQuery {
   std::string fragment;  // fragment (= collection) name at the node
   size_t node = 0;       // primary replica
   std::string query;
   /// Every node holding this fragment, primary first, in failover order.
   /// Empty means "primary only" — the executor treats it as {node}.
-  std::vector<size_t> replicas;
+  std::vector<size_t> replicas{};
   /// The compiled form of `query`, built structurally by the decomposer
   /// (cloned + rewritten AST, never re-parsed from the string). When set,
   /// the executor ships it through the driver's prepared-execution path —
   /// prepared once per (sub-query, node) and reused across retries and
   /// failovers. Null on hand-built plans; the executor then falls back to
-  /// string execution. Keep last: hand-built plans aggregate-initialize
-  /// the leading fields positionally.
-  xquery::CompiledQueryPtr compiled;
+  /// string execution.
+  xquery::CompiledQueryPtr compiled{};
 };
 
 /// A decomposed distributed execution plan.
@@ -57,9 +57,9 @@ struct DistributedPlan {
   /// output).
   std::vector<std::string> notes;
   /// The compiled original query — the single parse of the whole
-  /// middleware execution. Join composition re-executes it over the
-  /// reconstructed documents without re-parsing. Null on hand-built
-  /// plans (the service then falls back to parsing `original_query`).
+  /// middleware execution. Join composition evaluates it over the joined
+  /// documents in memory without re-parsing. Null on hand-built plans
+  /// (composition then compiles `original_query` once).
   xquery::CompiledQueryPtr compiled;
 };
 

@@ -143,8 +143,8 @@ Result<LoadedDeployment> LoadDeployment(const std::string& dir,
       if (fields.size() < 4 || !ParseInt64(fields[3], &node)) {
         return Status::Corruption("bad placement line in catalog.txt");
       }
-      FragmentPlacement p{std::string(fields[2]),
-                          static_cast<size_t>(node)};
+      FragmentPlacement p{.fragment = std::string(fields[2]),
+                          .node = static_cast<size_t>(node)};
       for (size_t f = 4; f < fields.size(); ++f) {
         int64_t backup = 0;
         if (!ParseInt64(fields[f], &backup) || backup < 0) {

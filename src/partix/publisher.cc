@@ -174,7 +174,8 @@ Status DataPublisher::PublishFragmented(
     }
     const size_t n = cluster_->node_count();
     for (size_t i = 0; i < schema.fragments.size(); ++i) {
-      FragmentPlacement p{schema.fragments[i].name(), i % n};
+      FragmentPlacement p{.fragment = schema.fragments[i].name(),
+                          .node = i % n};
       for (size_t r = 1; r < replication_factor; ++r) {
         p.backups.push_back((i + r) % n);
       }

@@ -13,6 +13,7 @@
 #include "partix/stream.h"
 #include "telemetry/metrics.h"
 #include "xml/document.h"
+#include "xquery/evaluator.h"
 #include "xquery/parser.h"
 
 namespace partix::middleware {
@@ -145,7 +146,66 @@ Result<DocumentPtr> JoinGroup(const std::string& source,
   if (out->empty()) {
     return Status::Corruption("join of '" + source + "' produced nothing");
   }
+  // Sealed before sharing, so label-range steps serve the evaluation.
+  out->SealLabels();
   return DocumentPtr(out);
+}
+
+/// Join-reconstruct composition: joins the fetched fragment documents of
+/// each source document, then evaluates the plan's original query once
+/// over the joined documents, in source-name order, as its collection.
+Result<std::string> ComposeJoin(const DistributedPlan& plan,
+                                std::vector<xdb::QueryResult> partials,
+                                uint64_t* result_items) {
+  // Group fetched documents by source document.
+  std::map<std::string, std::vector<FetchedDoc>> groups;
+  for (xdb::QueryResult& partial : partials) {
+    for (const xquery::Item& item : partial.items) {
+      if (!item.IsNode()) {
+        return Status::Internal(
+            "fetch sub-query returned a non-node item");
+      }
+      const xquery::NodeRef& ref = item.AsNode();
+      if (ref.node != xml::kDocumentNode &&
+          (ref.doc->empty() || ref.node != ref.doc->root())) {
+        return Status::Internal(
+            "fetch sub-query returned a non-document node");
+      }
+      PARTIX_ASSIGN_OR_RETURN(FetchedDoc fd, ParseWireDoc(ref.doc));
+      groups[fd.src].push_back(std::move(fd));
+    }
+  }
+
+  auto pool = std::make_shared<xml::NamePool>();
+  std::map<std::string, std::vector<DocumentPtr>> collections;
+  std::vector<DocumentPtr>& docs = collections[plan.collection];
+  docs.reserve(groups.size());
+  for (auto& [source, fetched] : groups) {
+    bool wire = false;
+    for (const FetchedDoc& fd : fetched) wire = wire || fd.has_wire_ids;
+    if (!wire && fetched.size() == 1) {
+      // Whole-document fragment (horizontal fetch): served as fetched.
+      docs.push_back(std::move(fetched[0].doc));
+      continue;
+    }
+    PARTIX_ASSIGN_OR_RETURN(DocumentPtr joined,
+                            JoinGroup(source, std::move(fetched), pool));
+    docs.push_back(std::move(joined));
+  }
+
+  // Reuse the plan's compiled original query; a hand-built plan without
+  // one is compiled here, once.
+  xquery::CompiledQueryPtr compiled = plan.compiled;
+  if (compiled == nullptr) {
+    PARTIX_ASSIGN_OR_RETURN(
+        compiled, xquery::CompiledQuery::Compile(plan.original_query));
+  }
+  xquery::MapResolver resolver(std::move(collections));
+  xquery::Evaluator evaluator(&resolver, pool);
+  PARTIX_ASSIGN_OR_RETURN(xquery::Sequence items,
+                          evaluator.Eval(compiled->ast()));
+  *result_items = items.size();
+  return xquery::SerializeSequence(items);
 }
 
 /// Canonical "fragment at node" token used by every error message and
@@ -835,67 +895,6 @@ Result<DistributedResult> QueryService::ExecutePlan(
   out.wall_ms = wall_watch.ElapsedMillis();
   finish();
   return out;
-}
-
-Result<std::string> QueryService::ComposeJoin(
-    const DistributedPlan& plan, std::vector<xdb::QueryResult> partials,
-    uint64_t* result_items) {
-  // A scratch engine hosts the joined documents under the original
-  // collection name; the original query then runs unchanged.
-  xdb::DatabaseOptions options;
-  options.cache_capacity_bytes = size_t{256} << 20;
-  xdb::Database scratch(options);
-  PARTIX_RETURN_IF_ERROR(scratch.CreateCollection(plan.collection));
-
-  // Group fetched documents by source document.
-  std::map<std::string, std::vector<FetchedDoc>> groups;
-  for (xdb::QueryResult& partial : partials) {
-    for (const xquery::Item& item : partial.items) {
-      if (!item.IsNode()) {
-        return Status::Internal(
-            "fetch sub-query returned a non-node item");
-      }
-      const xquery::NodeRef& ref = item.AsNode();
-      if (ref.node != xml::kDocumentNode &&
-          (ref.doc->empty() || ref.node != ref.doc->root())) {
-        return Status::Internal(
-            "fetch sub-query returned a non-document node");
-      }
-      PARTIX_ASSIGN_OR_RETURN(FetchedDoc fd, ParseWireDoc(ref.doc));
-      groups[fd.src].push_back(std::move(fd));
-    }
-  }
-
-  for (auto& [source, docs] : groups) {
-    bool wire = false;
-    for (const FetchedDoc& fd : docs) wire = wire || fd.has_wire_ids;
-    if (!wire && docs.size() == 1) {
-      // Whole-document fragment (horizontal fetch): store as-is.
-      PARTIX_RETURN_IF_ERROR(
-          scratch.StoreDocument(plan.collection, *docs[0].doc));
-      continue;
-    }
-    PARTIX_ASSIGN_OR_RETURN(DocumentPtr joined,
-                            JoinGroup(source, std::move(docs),
-                                      scratch.pool()));
-    PARTIX_RETURN_IF_ERROR(scratch.StoreDocument(plan.collection, *joined));
-  }
-
-  // Reuse the plan's compiled original query: the scratch engine analyzes
-  // the shared AST without re-parsing. Hand-built plans without a
-  // compiled form fall back to the string path.
-  xdb::QueryResult final_result;
-  if (plan.compiled != nullptr) {
-    PARTIX_ASSIGN_OR_RETURN(xdb::PrepareOutcome prepared,
-                            scratch.Prepare(plan.compiled));
-    PARTIX_ASSIGN_OR_RETURN(final_result,
-                            scratch.ExecutePrepared(*prepared.plan));
-  } else {
-    PARTIX_ASSIGN_OR_RETURN(final_result,
-                            scratch.Execute(plan.original_query));
-  }
-  *result_items = final_result.metrics.result_items;
-  return final_result.serialized;
 }
 
 }  // namespace partix::middleware

@@ -227,7 +227,7 @@ struct ExecutionOptions {
 /// Thread-safety: Execute/ExecutePlan/Explain/ExplainAnalyze are safe to
 /// call concurrently from multiple client threads — the multi-query
 /// scheduler (scheduler.h) relies on it. Each execution keeps its state
-/// (plan, tracer, outcome slots, compose scratch engine) on the calling
+/// (plan, tracer, outcome slots, joined documents) on the calling
 /// thread; the shared pieces below it are thread-safe in their own right
 /// (executor dispatch and breakers, cluster data plane, node plan
 /// caches). set_clock remains control-plane: call it before concurrent
@@ -310,10 +310,6 @@ class QueryService {
   Result<DistributedPlan> Decompose(
       const std::string& query,
       std::shared_ptr<const DistributionCatalog>* held) const;
-
-  Result<std::string> ComposeJoin(const DistributedPlan& plan,
-                                  std::vector<xdb::QueryResult> partials,
-                                  uint64_t* result_items);
 
   ClusterSim* cluster_;
   const DistributionCatalog* catalog_ = nullptr;

@@ -42,7 +42,8 @@ Result<std::unique_ptr<Deployment>> Deployment::Fragmented(
   // One fragment per node: replica r of fragment i -> node (i + r) mod n.
   std::vector<middleware::FragmentPlacement> placements;
   for (size_t i = 0; i < node_count; ++i) {
-    middleware::FragmentPlacement p{schema.fragments[i].name(), i};
+    middleware::FragmentPlacement p{.fragment = schema.fragments[i].name(),
+                                    .node = i};
     for (size_t r = 1; r < replication_factor; ++r) {
       p.backups.push_back((i + r) % node_count);
     }

@@ -1118,6 +1118,15 @@ Result<Sequence> Evaluator::EvalFunction(EvalContext& ctx,
   return Status::Unimplemented("unknown function " + fn + "()");
 }
 
+Result<std::vector<DocumentPtr>> MapResolver::Resolve(
+    const std::string& name) {
+  auto it = collections_.find(name);
+  if (it == collections_.end()) {
+    return Status::NotFound("collection '" + name + "' does not exist");
+  }
+  return it->second;
+}
+
 Result<Sequence> EvalQuery(const std::string& query,
                            CollectionResolver* resolver,
                            std::shared_ptr<xml::NamePool> pool) {

@@ -19,13 +19,13 @@
 namespace partix::xquery {
 
 /// Supplies the documents behind collection("name") / doc("name"). The
-/// database engine implements this; tests use an in-memory map.
+/// database engine implements this; join composition and tests use the
+/// in-memory MapResolver below.
 ///
 /// Thread-safety: when the evaluator runs with morsel parallelism > 1,
 /// Resolve may be called from several morsel workers concurrently and the
 /// implementation must tolerate that (the engine's planned resolver takes
-/// an internal lock; the simple map resolvers used in tests are read-only
-/// after setup).
+/// an internal lock; MapResolver is read-only after setup).
 class CollectionResolver {
  public:
   virtual ~CollectionResolver() = default;
@@ -33,6 +33,28 @@ class CollectionResolver {
   /// Returns the documents of the named collection.
   virtual Result<std::vector<xml::DocumentPtr>> Resolve(
       const std::string& name) = 0;
+};
+
+/// In-memory collections: each name resolves to its documents in the
+/// order they were added; any other name fails with the engine's
+/// "collection '<name>' does not exist". Read-only after setup.
+class MapResolver : public CollectionResolver {
+ public:
+  MapResolver() = default;
+  explicit MapResolver(
+      std::map<std::string, std::vector<xml::DocumentPtr>> collections)
+      : collections_(std::move(collections)) {}
+
+  /// Appends `doc` to `collection`, creating the collection on first use.
+  void Add(const std::string& collection, xml::DocumentPtr doc) {
+    collections_[collection].push_back(std::move(doc));
+  }
+
+  Result<std::vector<xml::DocumentPtr>> Resolve(
+      const std::string& name) override;
+
+ private:
+  std::map<std::string, std::vector<xml::DocumentPtr>> collections_;
 };
 
 /// Execution counters exposed after evaluation.

@@ -151,13 +151,31 @@ class QueryParser {
   }
 
   Result<ExprPtr> ParseExprSingle() {
-    SkipWs();
-    if (PeekKeyword("for") || PeekKeyword("let")) return ParseFlwor();
-    if (PeekKeyword("if")) return ParseIf();
-    if (PeekKeyword("some") || PeekKeyword("every")) {
-      return ParseQuantified();
+    return Nested([this]() -> Result<ExprPtr> {
+      SkipWs();
+      if (PeekKeyword("for") || PeekKeyword("let")) return ParseFlwor();
+      if (PeekKeyword("if")) return ParseIf();
+      if (PeekKeyword("some") || PeekKeyword("every")) {
+        return ParseQuantified();
+      }
+      return ParseOr();
+    });
+  }
+
+  /// Runs `parse` one nesting level deeper. Every nested sub-expression
+  /// (parentheses, predicates, arguments, clauses, enclosed expressions)
+  /// enters through ParseExprSingle; unary minus and nested element
+  /// constructors recurse directly. Past kMaxDepth levels the query is a
+  /// parse error rather than a stack overflow.
+  template <typename ParseFn>
+  Result<ExprPtr> Nested(ParseFn parse) {
+    if (depth_ >= kMaxDepth) {
+      return Error("query nesting exceeds the supported depth");
     }
-    return ParseOr();
+    ++depth_;
+    Result<ExprPtr> out = parse();
+    --depth_;
+    return out;
   }
 
   Result<ExprPtr> ParseQuantified() {
@@ -322,7 +340,8 @@ class QueryParser {
     SkipWs();
     if (!AtEnd() && Peek() == '-') {
       ++pos_;
-      PARTIX_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+      PARTIX_ASSIGN_OR_RETURN(ExprPtr operand,
+                              Nested([this] { return ParseUnary(); }));
       return MakeExpr(UnaryMinus{std::move(operand)});
     }
     return ParsePathExpr();
@@ -536,7 +555,8 @@ class QueryParser {
           return MakeExpr(std::move(ctor));
         }
         flush_text();
-        PARTIX_ASSIGN_OR_RETURN(ExprPtr child, ParseElementCtor());
+        PARTIX_ASSIGN_OR_RETURN(
+            ExprPtr child, Nested([this] { return ParseElementCtor(); }));
         ctor.content.push_back(std::move(child));
         ctor.content_is_literal_text.push_back(false);
         continue;
@@ -546,8 +566,13 @@ class QueryParser {
     }
   }
 
+  /// Maximum nesting depth, as in xml/parser.cc: bounds the stack of
+  /// this descent and of the recursive AST walks downstream.
+  static constexpr size_t kMaxDepth = 512;
+
   std::string_view text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;
 };
 
 }  // namespace

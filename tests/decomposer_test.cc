@@ -29,7 +29,7 @@ DistributionCatalog MakeCatalog(
   size_t node = 0;
   for (const auto& [name, mu] : fragments) {
     schema.fragments.emplace_back(frag::HorizontalDef{name, Mu(mu)});
-    placements.push_back(FragmentPlacement{name, node++});
+    placements.push_back(FragmentPlacement{.fragment = name, .node = node++});
   }
   EXPECT_TRUE(catalog.Register(std::move(schema), std::move(placements))
                   .ok());
@@ -242,7 +242,7 @@ TEST(ExplainTest, RendersReplicaSetsAndPlanReplicas) {
   for (size_t i = 0; i < defs.size(); ++i) {
     schema.fragments.emplace_back(
         frag::HorizontalDef{defs[i].first, Mu(defs[i].second)});
-    FragmentPlacement p{defs[i].first, i};
+    FragmentPlacement p{.fragment = defs[i].first, .node = i};
     p.backups.push_back((i + 1) % defs.size());
     placements.push_back(std::move(p));
   }

@@ -109,7 +109,9 @@ TEST_F(ReplicatedFailoverTest, FailoverSurvivesPermanentNodeLoss) {
     EXPECT_GE(result->failovers, 1u) << kWorkload[i];
     // The failed-over sub-query records where it actually ran.
     for (const SubQueryStats& stats : result->subqueries) {
-      if (stats.fragment == "f_DVD") EXPECT_EQ(stats.node, 2u);
+      if (stats.fragment == "f_DVD") {
+        EXPECT_EQ(stats.node, 2u);
+      }
     }
   }
 }

@@ -173,7 +173,7 @@ TEST_F(FailureTest, ExplainRoutesAroundDownPrimary) {
     ASSERT_TRUE(mu.ok());
     schema.fragments.emplace_back(
         frag::HorizontalDef{"r_" + sections[i], *mu});
-    FragmentPlacement p{"r_" + sections[i], i};
+    FragmentPlacement p{.fragment = "r_" + sections[i], .node = i};
     p.backups.push_back((i + 1) % 4);
     placements.push_back(std::move(p));
   }

@@ -63,8 +63,11 @@ TEST(CatalogTest, DistributionCatalog) {
       HorizontalDef{"f2", Mu("/Item/Section != \"CD\"")});
 
   // Missing placements rejected.
-  EXPECT_FALSE(catalog.Register(schema, {{"f1", 0}}).ok());
-  ASSERT_TRUE(catalog.Register(schema, {{"f1", 0}, {"f2", 1}}).ok());
+  EXPECT_FALSE(catalog.Register(schema, {{.fragment = "f1", .node = 0}}).ok());
+  ASSERT_TRUE(catalog
+                  .Register(schema, {{.fragment = "f1", .node = 0},
+                                     {.fragment = "f2", .node = 1}})
+                  .ok());
   EXPECT_TRUE(catalog.IsFragmented("items"));
   EXPECT_FALSE(catalog.IsFragmented("other"));
   auto entry = catalog.Get("items");

@@ -262,8 +262,12 @@ TEST(StreamingJoinTest, EqualReconstructionIdsMergeInArrivalOrder) {
   plan.collection = "joined";
   plan.original_query = "collection(\"joined\")/wrap";
   plan.composition = Composition::kJoinReconstruct;
-  plan.subqueries.push_back({"f_left", 0, "collection(\"f_left\")", {}});
-  plan.subqueries.push_back({"f_right", 1, "collection(\"f_right\")", {}});
+  plan.subqueries.push_back({.fragment = "f_left",
+                             .node = 0,
+                             .query = "collection(\"f_left\")"});
+  plan.subqueries.push_back({.fragment = "f_right",
+                             .node = 1,
+                             .query = "collection(\"f_right\")"});
 
   for (bool streaming : {true, false}) {
     for (int run = 0; run < 4; ++run) {
@@ -318,7 +322,9 @@ TEST_F(ReplicatedStreamingTest, FailoverMidStreamKeepsAnswerByteIdentical) {
   EXPECT_GT(result->stream_blocks, 1u);
   // The failed-over sub-query records where it actually ran.
   for (const SubQueryStats& stats : result->subqueries) {
-    if (stats.fragment == "f_DVD") EXPECT_EQ(stats.node, 2u);
+    if (stats.fragment == "f_DVD") {
+      EXPECT_EQ(stats.node, 2u);
+    }
   }
   // Conservation: every block pushed was either composed or discarded
   // (replay-dropped duplicates are counted in neither side).

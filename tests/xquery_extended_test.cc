@@ -1,7 +1,6 @@
 // Extended XQuery semantics coverage: order by, constructor nesting,
 // comparison corner cases, mixed-type sequences, and error behaviour.
 
-#include <map>
 #include <memory>
 
 #include "gtest/gtest.h"
@@ -12,24 +11,6 @@
 
 namespace partix::xquery {
 namespace {
-
-using xml::DocumentPtr;
-
-class Resolver : public CollectionResolver {
- public:
-  void Add(const std::string& collection, DocumentPtr doc) {
-    collections_[collection].push_back(std::move(doc));
-  }
-  Result<std::vector<DocumentPtr>> Resolve(
-      const std::string& name) override {
-    auto it = collections_.find(name);
-    if (it == collections_.end()) return Status::NotFound(name);
-    return it->second;
-  }
-
- private:
-  std::map<std::string, std::vector<DocumentPtr>> collections_;
-};
 
 class XQueryExtendedTest : public ::testing::Test {
  protected:
@@ -56,7 +37,7 @@ class XQueryExtendedTest : public ::testing::Test {
   }
 
   std::shared_ptr<xml::NamePool> pool_;
-  Resolver resolver_;
+  MapResolver resolver_;
   int n_ = 0;
 };
 

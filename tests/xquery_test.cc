@@ -1,4 +1,3 @@
-#include <map>
 #include <memory>
 
 #include "gtest/gtest.h"
@@ -10,27 +9,6 @@
 
 namespace partix::xquery {
 namespace {
-
-using xml::DocumentPtr;
-
-/// In-memory resolver over named document lists.
-class MapResolver : public CollectionResolver {
- public:
-  void Add(const std::string& collection, DocumentPtr doc) {
-    collections_[collection].push_back(std::move(doc));
-  }
-  Result<std::vector<DocumentPtr>> Resolve(
-      const std::string& name) override {
-    auto it = collections_.find(name);
-    if (it == collections_.end()) {
-      return Status::NotFound("no collection " + name);
-    }
-    return it->second;
-  }
-
- private:
-  std::map<std::string, std::vector<DocumentPtr>> collections_;
-};
 
 class XQueryEvalTest : public ::testing::Test {
  protected:
@@ -235,6 +213,38 @@ TEST(XQueryParserTest, RejectsMalformedQueries) {
   EXPECT_FALSE(ParseQuery("<a>{1}</b>").ok());
   EXPECT_FALSE(ParseQuery("1 +").ok());
   EXPECT_FALSE(ParseQuery("").ok());
+}
+
+/// Query text nested `depth` levels deep in each of the parser's
+/// recursive shapes: parentheses, unary minus, element constructors.
+std::string NestedParens(size_t depth) {
+  return std::string(depth, '(') + "1" + std::string(depth, ')');
+}
+std::string NestedMinus(size_t depth) { return std::string(depth, '-') + "1"; }
+std::string NestedCtors(size_t depth) {
+  std::string out;
+  for (size_t i = 0; i < depth; ++i) out += "<a>";
+  out += "1";
+  for (size_t i = 0; i < depth; ++i) out += "</a>";
+  return out;
+}
+
+TEST(XQueryParserTest, DeepNestingIsAParseError) {
+  // Without the nesting bound each of these overflows the stack.
+  for (const std::string& query :
+       {NestedParens(10000), NestedMinus(10000), NestedCtors(10000)}) {
+    Result<ExprPtr> ast = ParseQuery(query);
+    ASSERT_FALSE(ast.ok()) << query.substr(0, 16);
+    EXPECT_EQ(ast.status().code(), StatusCode::kParseError);
+    EXPECT_NE(ast.status().message().find("nesting"), std::string::npos)
+        << ast.status();
+  }
+}
+
+TEST_F(XQueryEvalTest, NestingWithinTheBoundParsesAndEvaluates) {
+  EXPECT_EQ(Run(NestedParens(256)), "1");
+  EXPECT_EQ(Run(NestedMinus(256)), "1");
+  EXPECT_EQ(Run(NestedCtors(256)), NestedCtors(256));
 }
 
 TEST(XQueryParserTest, CommentsAreSkipped) {
