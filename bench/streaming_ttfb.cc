@@ -1,11 +1,12 @@
 // Time-to-first-byte under the streaming batched result pipeline.
 //
-// The materialized path holds the whole answer back until the slowest
-// node has finished and composition has run; the streaming pipeline
-// (docs/streaming-runtime.md) commits the first result block into the
-// answer as soon as it crosses the channel. This bench runs the
-// multi-fragment union workload at parallelism 4 in both modes and
-// reports, per mode:
+// Every sub-query streams its result blocks through the same channel;
+// the barrier (ExecutionOptions::streaming = false) holds the whole
+// answer back until the slowest node has finished and composition has
+// run, while streaming (docs/streaming-runtime.md) commits the first
+// result block into the answer as soon as it crosses the channel. This
+// bench runs the multi-fragment union workload at parallelism 4 in both
+// modes and reports, per mode:
 //
 //   - TTFB p50/p99 (DistributedResult::ttfb_ms) and mean wall time
 //   - peak governed result bytes on the coordinator (MemoryGovernor
@@ -13,11 +14,11 @@
 //
 // Three gates, all modes:
 //
-//   - identity: streaming and materialized answers are byte-identical
-//     for every query.
-//   - TTFB: streaming TTFB p50 is strictly below the materialized mean
-//     total wall time on the union workload — first bytes flow before
-//     the materialized answer would exist at all.
+//   - identity: streaming and barrier answers are byte-identical for
+//     every query.
+//   - TTFB: streaming TTFB p50 is strictly below the barrier mean total
+//     wall time on the union workload — first bytes flow before the
+//     barrier's answer would exist at all.
 //   - accounting: each mode's peak governed bytes stay below 80% of the
 //     double-charge baseline (2x the answer: the pre-fix compose path
 //     charged the partials and the composed output without releasing
@@ -141,8 +142,8 @@ int main() {
   deployment->get()->service().set_memory_governor(&governor);
 
   // Union workload: every query fans out to all four fragments and
-  // composes by union, so the materialized path cannot answer before the
-  // slowest node finishes — exactly the case streaming attacks.
+  // composes by union, so the barrier cannot answer before the slowest
+  // node finishes — exactly the case streaming attacks.
   const std::string c = "collection(\"" + items->name() + "\")";
   const std::vector<workload::QuerySpec> queries = {
       {"QU1", "full-scan projection over every fragment",
@@ -165,16 +166,16 @@ int main() {
   for (size_t q = 0; q < queries.size(); ++q) {
     auto streamed = MeasureSeries(deployment->get(), &governor, queries[q],
                                   /*streaming=*/true, runs);
-    auto materialized = MeasureSeries(deployment->get(), &governor,
-                                      queries[q], /*streaming=*/false, runs);
-    if (!streamed.ok() || !materialized.ok()) {
+    auto barrier = MeasureSeries(deployment->get(), &governor, queries[q],
+                                 /*streaming=*/false, runs);
+    if (!streamed.ok() || !barrier.ok()) {
       std::fprintf(stderr, "%s failed: %s\n", queries[q].id.c_str(),
-                   (!streamed.ok() ? streamed.status() : materialized.status())
+                   (!streamed.ok() ? streamed.status() : barrier.status())
                        .ToString()
                        .c_str());
       return 1;
     }
-    if (streamed->serialized != materialized->serialized) {
+    if (streamed->serialized != barrier->serialized) {
       identical = false;
       std::fprintf(stderr, "MISMATCH: %s streaming answer differs\n",
                    queries[q].id.c_str());
@@ -182,30 +183,30 @@ int main() {
 
     const double ttfb_p50 = Percentile(streamed->ttfb_ms, 0.50);
     const double ttfb_p99 = Percentile(streamed->ttfb_ms, 0.99);
-    const double mat_p50 = Percentile(materialized->ttfb_ms, 0.50);
-    const double mat_p99 = Percentile(materialized->ttfb_ms, 0.99);
+    const double barrier_p50 = Percentile(barrier->ttfb_ms, 0.50);
+    const double barrier_p99 = Percentile(barrier->ttfb_ms, 0.99);
     const size_t answer_bytes = streamed->serialized.size();
     // The double-charge baseline: partials charged in full, then the
     // composed answer charged on top, nothing released in between.
     const size_t double_charge = 2 * answer_bytes;
-    if (ttfb_p50 >= materialized->wall_ms) ttfb_gate_ok = false;
+    if (ttfb_p50 >= barrier->wall_ms) ttfb_gate_ok = false;
     if (double_charge > 0 &&
         (streamed->peak_bytes * 10 >= double_charge * 8 ||
-         materialized->peak_bytes * 10 >= double_charge * 8)) {
+         barrier->peak_bytes * 10 >= double_charge * 8)) {
       peak_gate_ok = false;
     }
 
     std::printf("%s: %s\n", queries[q].id.c_str(),
                 queries[q].description.c_str());
     std::printf(
-        "  streaming    ttfb p50 %8.3f ms  p99 %8.3f ms  wall %8.3f ms  "
+        "  streaming ttfb p50 %8.3f ms  p99 %8.3f ms  wall %8.3f ms  "
         "peak %zu B  (%llu blocks)\n",
         ttfb_p50, ttfb_p99, streamed->wall_ms, streamed->peak_bytes,
         static_cast<unsigned long long>(streamed->stream_blocks));
     std::printf(
-        "  materialized ttfb p50 %8.3f ms  p99 %8.3f ms  wall %8.3f ms  "
+        "  barrier   ttfb p50 %8.3f ms  p99 %8.3f ms  wall %8.3f ms  "
         "peak %zu B\n",
-        mat_p50, mat_p99, materialized->wall_ms, materialized->peak_bytes);
+        barrier_p50, barrier_p99, barrier->wall_ms, barrier->peak_bytes);
     std::printf("  answer %zu B; double-charge baseline %zu B\n",
                 answer_bytes, double_charge);
 
@@ -216,10 +217,10 @@ int main() {
             ", \"wall_ms\": " + std::to_string(streamed->wall_ms) +
             ", \"peak_bytes\": " + std::to_string(streamed->peak_bytes) +
             ", \"blocks\": " + std::to_string(streamed->stream_blocks) + "}";
-    json += ", \"materialized\": {\"ttfb_p50_ms\": " + std::to_string(mat_p50) +
-            ", \"ttfb_p99_ms\": " + std::to_string(mat_p99) +
-            ", \"wall_ms\": " + std::to_string(materialized->wall_ms) +
-            ", \"peak_bytes\": " + std::to_string(materialized->peak_bytes) +
+    json += ", \"barrier\": {\"ttfb_p50_ms\": " + std::to_string(barrier_p50) +
+            ", \"ttfb_p99_ms\": " + std::to_string(barrier_p99) +
+            ", \"wall_ms\": " + std::to_string(barrier->wall_ms) +
+            ", \"peak_bytes\": " + std::to_string(barrier->peak_bytes) +
             "}";
     json += ", \"double_charge_baseline_bytes\": " +
             std::to_string(double_charge) + "}";
@@ -233,9 +234,9 @@ int main() {
           ",\n  \"smoke\": " + (smoke ? "true" : "false") + "\n}\n";
   if (!bench::WriteBenchFile("BENCH_streaming.json", json)) return 1;
 
-  std::printf("\nresults byte-identical streaming vs materialized: %s\n",
+  std::printf("\nresults byte-identical streaming vs barrier: %s\n",
               identical ? "yes" : "NO");
-  std::printf("streaming TTFB p50 < materialized wall on every query: %s\n",
+  std::printf("streaming TTFB p50 < barrier wall on every query: %s\n",
               ttfb_gate_ok ? "yes" : "NO");
   std::printf("peak governed bytes < 80%% of double-charge baseline: %s\n",
               peak_gate_ok ? "yes" : "NO");

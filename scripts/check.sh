@@ -42,12 +42,14 @@ for config in "${configs[@]}"; do
   # --timeout keeps a hung test (deadlock under TSan, runaway retry loop)
   # from stalling CI forever; 300s is ~100x the healthy full-suite time.
   ctest --test-dir "$dir" --output-on-failure -j "$jobs" --timeout 300
-  echo "== ${config}: concurrent scheduler stress (explicit) =="
+  echo "== ${config}: concurrent scheduler and streaming stress (explicit) =="
   # Re-run the multi-threaded admission/execution tests by name so a
   # filter change in the suite can never silently drop the concurrency
-  # coverage this config (especially thread) exists for.
+  # coverage this config (especially thread) exists for. Every sub-query
+  # crosses threads through the streaming BlockChannel, so the streaming
+  # tests are part of that coverage.
   "$dir"/tests/partix_tests \
-    --gtest_filter='*Concurrent*:*Scheduler*:*Fairness*'
+    --gtest_filter='*Concurrent*:*Scheduler*:*Fairness*:*Streaming*'
   if [ "$config" = plain ]; then
     echo "== ${config}: memory density smoke =="
     # Gates the memory-governance subsystem: >= 30% fewer allocations per
@@ -61,9 +63,10 @@ for config in "${configs[@]}"; do
     (cd "$dir"/bench && PARTIX_SMOKE=1 ./intra_node_speedup)
     echo "== ${config}: streaming TTFB smoke =="
     # Gates the streaming result pipeline: byte-identical answers
-    # streaming vs materialized, streaming TTFB p50 strictly below the
-    # materialized wall on the union workload, and peak governed bytes
-    # below 80% of the double-charge baseline.
+    # streaming vs the barrier (the same pipeline holding the answer
+    # until compose ends), streaming TTFB p50 strictly below the barrier
+    # wall on the union workload, and peak governed bytes below 80% of
+    # the double-charge baseline.
     (cd "$dir"/bench && PARTIX_SMOKE=1 ./streaming_ttfb)
   fi
 done

@@ -660,9 +660,7 @@ struct ResultCursor::State {
   const Database* db = nullptr;
   /// Held from open to destruction; DDL (exclusive) waits for it.
   std::shared_lock<std::shared_mutex> lock;
-  /// Keeps an internally-prepared plan alive (null when the caller owns
-  /// the plan, as with ExecutePreparedStream).
-  PreparedQueryPtr plan_keepalive;
+  /// Owned by the caller, who keeps it alive past the cursor.
   const PreparedQuery* plan = nullptr;
   std::unique_ptr<PlannedResolver> resolver;
   std::unique_ptr<xquery::Evaluator> evaluator;
@@ -693,7 +691,7 @@ Result<bool> ResultCursor::Next(ResultBlock* block) {
   if (st.done) return false;
   Stopwatch watch;
   // Elapsed accumulates over open + every Next, so the drained cursor's
-  // metrics mirror the materialized elapsed (engine time actually spent).
+  // metrics mirror ExecutePrepared's elapsed (engine time actually spent).
   Status status = Status::Ok();
   while (block->items.size() < st.block_items) {
     if (st.pending_pos >= st.pending.size()) {
@@ -720,7 +718,7 @@ Result<bool> ResultCursor::Next(ResultBlock* block) {
   }
   if (block->items.empty()) {
     // Clean end of stream: fold the per-query attribution under the
-    // still-held shared lock (the same fold the materialized path does).
+    // still-held shared lock (the same fold ExecutePrepared does).
     st.done = true;
     st.db->FoldExecutionStats(
         st.plan->plans,
@@ -736,21 +734,19 @@ Result<bool> ResultCursor::Next(ResultBlock* block) {
   return true;
 }
 
-Result<ResultCursorPtr> Database::OpenCursor(PreparedQueryPtr keepalive,
-                                             const PreparedQuery* prepared,
-                                             const ExecParams& exec) const {
-  if (prepared->compiled == nullptr) {
+Result<ResultCursorPtr> Database::ExecutePreparedStream(
+    const PreparedQuery& prepared, const ExecParams& exec) const {
+  if (prepared.compiled == nullptr) {
     return Status::InvalidArgument("ExecutePrepared: plan has no query");
   }
   auto st = std::make_unique<ResultCursor::State>();
   st->db = this;
   st->lock = std::shared_lock<std::shared_mutex>(mu_);
   Stopwatch watch;
-  st->plan_keepalive = std::move(keepalive);
-  st->plan = prepared;
+  st->plan = &prepared;
   std::map<std::string, std::vector<storage::DocSlot>> candidates;
   std::map<std::string, storage::DocumentStore*> stores;
-  PlanCandidates(prepared->plans, &candidates, &stores, &st->metrics);
+  PlanCandidates(prepared.plans, &candidates, &stores, &st->metrics);
   st->resolver = std::make_unique<PlannedResolver>(std::move(candidates),
                                                    std::move(stores));
   st->evaluator = std::make_unique<xquery::Evaluator>(st->resolver.get(),
@@ -761,32 +757,12 @@ Result<ResultCursorPtr> Database::OpenCursor(PreparedQueryPtr keepalive,
                                           exec.morsel_pool);
   }
   Result<xquery::EvalStreamPtr> stream =
-      st->evaluator->OpenStream(prepared->compiled->ast());
+      st->evaluator->OpenStream(prepared.compiled->ast());
   if (!stream.ok()) return stream.status();  // st's destructor unlocks
   st->stream = std::move(*stream);
   if (exec.stream_block_items > 0) st->block_items = exec.stream_block_items;
   st->metrics.elapsed_ms += watch.ElapsedMillis();
   return ResultCursorPtr(new ResultCursor(std::move(st)));
-}
-
-Result<ResultCursorPtr> Database::ExecuteStream(const std::string& query,
-                                                const ExecParams& exec) const {
-  // Like Execute: Prepare outside mu_ (plan cache is internally locked),
-  // then one shared acquisition for the cursor's whole life.
-  PARTIX_ASSIGN_OR_RETURN(PrepareOutcome prepared, Prepare(query));
-  PreparedQueryPtr plan = prepared.plan;
-  const PreparedQuery* raw = plan.get();
-  PARTIX_ASSIGN_OR_RETURN(ResultCursorPtr cursor,
-                          OpenCursor(std::move(plan), raw, exec));
-  cursor->state_->metrics.compile_ms = prepared.compile_ms;
-  cursor->state_->metrics.plan_cache_hits = prepared.cache_hit ? 1 : 0;
-  cursor->state_->metrics.plan_cache_misses = prepared.cache_hit ? 0 : 1;
-  return cursor;
-}
-
-Result<ResultCursorPtr> Database::ExecutePreparedStream(
-    const PreparedQuery& prepared, const ExecParams& exec) const {
-  return OpenCursor(nullptr, &prepared, exec);
 }
 
 void Database::DropCaches() {

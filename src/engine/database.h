@@ -91,8 +91,8 @@ struct ExecParams {
   /// admission-controls — never a private one (no second pool, no
   /// oversubscription).
   ThreadPool* morsel_pool = nullptr;
-  /// Target items per ResultBlock on the streaming path
-  /// (ExecuteStream/ExecutePreparedStream). 0 = the default (256).
+  /// Target items per ResultBlock of ExecutePreparedStream. 0 = the
+  /// default (256).
   size_t stream_block_items = 0;
 };
 
@@ -129,13 +129,6 @@ struct QueryResult {
   xquery::Sequence items;
   std::string serialized;
   QueryMetrics metrics;
-  /// End-to-end integrity: FNV-1a of `serialized`, computed where the
-  /// result was produced (the driver stamps it before the response
-  /// crosses the simulated wire). 0 = no digest attached; the executor
-  /// verifies non-zero digests when integrity checking is enabled and
-  /// treats a mismatch as a retryable corrupt response. See
-  /// docs/fault-tolerance.md.
-  uint64_t response_digest = 0;
 };
 
 /// One batch of a streamed query result. Blocks carry both forms the
@@ -149,7 +142,8 @@ struct ResultBlock {
   std::string serialized;
   /// FNV-1a of `serialized`, stamped by the driver before the block
   /// crosses the simulated wire (0 = no digest). The executor verifies
-  /// per block exactly like QueryResult::response_digest.
+  /// every stamped block and treats a mismatch as a retryable corrupt
+  /// response (see docs/fault-tolerance.md).
   uint64_t digest = 0;
 };
 
@@ -305,16 +299,14 @@ class Database {
       const PreparedQuery& prepared,
       const ExecParams& exec = ExecParams()) const;
 
-  /// Streaming forms: instead of one materialized QueryResult, returns a
-  /// pull-based cursor yielding ResultBlocks whose concatenation is
-  /// byte-, item-, and metrics-identical to the materialized call. The
+  /// Streaming form of ExecutePrepared, and the one the middleware
+  /// runs: a pull-based cursor yielding ResultBlocks whose concatenation
+  /// is byte-, item-, and metrics-identical to ExecutePrepared (which
+  /// stays as the reference evaluation tests compare it against). The
   /// cursor holds this database's shared lock for its whole life (DDL
   /// waits until every open cursor is destroyed), so create, drain, and
   /// destroy it on ONE thread — a shared_mutex must be released by the
-  /// locking thread. ExecuteStream prepares internally; for
-  /// ExecutePreparedStream the plan must outlive the cursor.
-  Result<ResultCursorPtr> ExecuteStream(
-      const std::string& query, const ExecParams& exec = ExecParams()) const;
+  /// locking thread. The plan must outlive the cursor.
   Result<ResultCursorPtr> ExecutePreparedStream(
       const PreparedQuery& prepared,
       const ExecParams& exec = ExecParams()) const;
@@ -375,7 +367,7 @@ class Database {
 
   /// Data-dependent candidate planning (index-posting intersection into
   /// sorted per-collection slot lists); requires mu_ held (shared).
-  /// Shared by the materialized and streaming paths.
+  /// Shared by ExecutePrepared and ExecutePreparedStream.
   void PlanCandidates(
       const std::map<std::string, CollectionPlan>& plans,
       std::map<std::string, std::vector<storage::DocSlot>>* candidates,
@@ -391,13 +383,6 @@ class Database {
       const std::function<storage::StoreMetrics(const std::string&)>&
           delta_for,
       const xquery::EvalStats& eval_stats, QueryMetrics* metrics) const;
-
-  /// Streaming open body shared by ExecuteStream/ExecutePreparedStream.
-  /// `keepalive` (may be null) keeps an internally-prepared plan alive for
-  /// the cursor's lifetime; `prepared` is the plan to run.
-  Result<ResultCursorPtr> OpenCursor(PreparedQueryPtr keepalive,
-                                     const PreparedQuery* prepared,
-                                     const ExecParams& exec) const;
 
   friend class ResultCursor;
 
@@ -418,8 +403,8 @@ class Database {
   mutable PlanCache plan_cache_;
 };
 
-/// A pull-based streamed query result, opened by Database::ExecuteStream
-/// or ExecutePreparedStream. Yields fixed-size ResultBlocks whose
+/// A pull-based streamed query result, opened by
+/// Database::ExecutePreparedStream. Yields fixed-size ResultBlocks whose
 /// concatenated items/bytes equal the materialized QueryResult exactly;
 /// metrics() is complete (elapsed, result counts, store/evaluator
 /// attribution) once Next() has returned false.

@@ -15,8 +15,8 @@ namespace {
 /// (the mid-response node death failover must recover from), and — when
 /// the open-time gate drew response corruption — one flipped character in
 /// the first non-empty block, applied after the driver stamped that
-/// block's digest so the mangling is detectable, exactly like the
-/// materialized path's wire corruption.
+/// block's digest: the wire mangling the bytes, not the engine producing
+/// a wrong answer, so the executor's digest check detects it.
 class GatedStream : public SubQueryStream {
  public:
   GatedStream(SubQueryStreamPtr inner, size_t node,
@@ -139,88 +139,6 @@ Status ClusterSim::FaultGate(size_t i, double stall_budget_ms,
   return Status::Ok();
 }
 
-Result<xdb::QueryResult> ClusterSim::ExecuteGated(
-    size_t i, double stall_budget_ms,
-    const std::function<Result<xdb::QueryResult>()>& run) {
-  double spike_ms = 0.0;
-  bool corrupt_response = false;
-  bool crash_restart = false;
-  Status gate =
-      FaultGate(i, stall_budget_ms, &spike_ms, &corrupt_response,
-                &crash_restart);
-  if (!gate.ok()) {
-    // Cache drop and stalls happen outside the fault mutex: a restarting
-    // or stalling node must not block fault draws for concurrent requests
-    // to the same node.
-    if (crash_restart) nodes_[i]->DropCaches();
-    if (spike_ms > 0.0) {
-      // Budget-capped spike: the client hangs on for the budget, then
-      // gives up — fail fast instead of sleeping out a result nobody
-      // will accept.
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(spike_ms / 1e3));
-    }
-    return gate;
-  }
-  if (spike_ms > 0.0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(spike_ms / 1e3));
-  }
-  Result<xdb::QueryResult> result = run();
-  if (result.ok() && corrupt_response) {
-    // Corrupt *after* the node stamped its digest: this is the wire
-    // mangling the bytes, not the engine producing a wrong answer.
-    CorruptXmlText(&result->serialized, result->response_digest);
-  }
-  return result;
-}
-
-Result<SubQueryStreamPtr> ClusterSim::ExecuteStreamGated(
-    size_t i, double stall_budget_ms,
-    const std::function<Result<SubQueryStreamPtr>()>& open) {
-  double spike_ms = 0.0;
-  bool corrupt_response = false;
-  bool crash_restart = false;
-  Status gate = FaultGate(i, stall_budget_ms, &spike_ms, &corrupt_response,
-                          &crash_restart);
-  if (!gate.ok()) {
-    if (crash_restart) nodes_[i]->DropCaches();
-    if (spike_ms > 0.0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(spike_ms / 1e3));
-    }
-    return gate;
-  }
-  if (spike_ms > 0.0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(spike_ms / 1e3));
-  }
-  // Snapshot the deterministic streaming knobs under the fault mutex at
-  // open time: a control-plane profile swap mid-stream must not tear them.
-  int64_t fail_after_blocks = -1;
-  double block_stall_ms = 0.0;
-  {
-    NodeFaultState& f = *faults_[i];
-    std::lock_guard<std::mutex> lock(f.mu);
-    fail_after_blocks = f.profile.fail_stream_after_blocks;
-    block_stall_ms = f.profile.stream_block_stall_ms;
-  }
-  Result<SubQueryStreamPtr> stream = open();
-  if (!stream.ok()) return stream;
-  return SubQueryStreamPtr(std::make_unique<GatedStream>(
-      std::move(*stream), i, fail_after_blocks, block_stall_ms,
-      corrupt_response));
-}
-
-Result<xdb::QueryResult> ClusterSim::ExecuteOnNode(
-    size_t i, const std::string& query, double stall_budget_ms,
-    const xdb::ExecParams& exec) {
-  if (i >= nodes_.size()) {
-    return Status::OutOfRange("node " + std::to_string(i) +
-                              " out of range");
-  }
-  return ExecuteGated(i, stall_budget_ms,
-                      [&] { return nodes_[i]->Execute(query, exec); });
-}
-
 Result<PreparedSubQueryPtr> ClusterSim::PrepareOnNode(
     size_t i, const xquery::CompiledQueryPtr& compiled) {
   if (i >= nodes_.size()) {
@@ -236,30 +154,6 @@ Result<PreparedSubQueryPtr> ClusterSim::PrepareOnNode(
   return nodes_[i]->Prepare(compiled);
 }
 
-Result<xdb::QueryResult> ClusterSim::ExecutePreparedOnNode(
-    size_t i, const PreparedSubQuery& prepared, double stall_budget_ms,
-    const xdb::ExecParams& exec) {
-  if (i >= nodes_.size()) {
-    return Status::OutOfRange("node " + std::to_string(i) +
-                              " out of range");
-  }
-  return ExecuteGated(i, stall_budget_ms, [&] {
-    return nodes_[i]->ExecutePrepared(prepared, exec);
-  });
-}
-
-Result<SubQueryStreamPtr> ClusterSim::ExecuteStreamOnNode(
-    size_t i, const std::string& query, double stall_budget_ms,
-    const xdb::ExecParams& exec) {
-  if (i >= nodes_.size()) {
-    return Status::OutOfRange("node " + std::to_string(i) +
-                              " out of range");
-  }
-  return ExecuteStreamGated(i, stall_budget_ms, [&] {
-    return nodes_[i]->ExecuteStream(query, exec);
-  });
-}
-
 Result<SubQueryStreamPtr> ClusterSim::ExecutePreparedStreamOnNode(
     size_t i, const PreparedSubQuery& prepared, double stall_budget_ms,
     const xdb::ExecParams& exec) {
@@ -267,9 +161,35 @@ Result<SubQueryStreamPtr> ClusterSim::ExecutePreparedStreamOnNode(
     return Status::OutOfRange("node " + std::to_string(i) +
                               " out of range");
   }
-  return ExecuteStreamGated(i, stall_budget_ms, [&] {
-    return nodes_[i]->ExecutePreparedStream(prepared, exec);
-  });
+  double spike_ms = 0.0;
+  bool corrupt_response = false;
+  bool crash_restart = false;
+  Status gate = FaultGate(i, stall_budget_ms, &spike_ms, &corrupt_response,
+                          &crash_restart);
+  // Cache drop and stalls happen outside the fault mutex: a restarting or
+  // stalling node must not block fault draws for concurrent requests to
+  // the same node. A rejected request with a stall is a budget-capped
+  // spike: the client hangs on for the budget, then gives up.
+  if (crash_restart) nodes_[i]->DropCaches();
+  if (spike_ms > 0.0) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(spike_ms / 1e3));
+  }
+  if (!gate.ok()) return gate;
+  // Snapshot the deterministic streaming knobs under the fault mutex at
+  // open time: a control-plane profile swap mid-stream must not tear them.
+  int64_t fail_after_blocks = -1;
+  double block_stall_ms = 0.0;
+  {
+    NodeFaultState& f = *faults_[i];
+    std::lock_guard<std::mutex> lock(f.mu);
+    fail_after_blocks = f.profile.fail_stream_after_blocks;
+    block_stall_ms = f.profile.stream_block_stall_ms;
+  }
+  PARTIX_ASSIGN_OR_RETURN(SubQueryStreamPtr stream,
+                          nodes_[i]->ExecutePreparedStream(prepared, exec));
+  return SubQueryStreamPtr(std::make_unique<GatedStream>(
+      std::move(stream), i, fail_after_blocks, block_stall_ms,
+      corrupt_response));
 }
 
 Status ClusterSim::CreateCollectionOnNode(size_t i,

@@ -2,7 +2,6 @@
 #define PARTIX_PARTIX_CLUSTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -70,20 +69,21 @@ struct FaultProfile {
   double crash_restart_rate = 0.0;
   /// Probability that a *served* request's response is corrupted in
   /// flight: the engine executes normally, then one text character of the
-  /// serialized result is flipped after the node-side digest was stamped,
-  /// so integrity verification (ExecutionOptions::verify_integrity) can
-  /// detect the mangled response and fail over.
+  /// first non-empty result block is flipped after the node-side digest
+  /// was stamped, so integrity verification
+  /// (ExecutionOptions::verify_integrity) can detect the mangled response
+  /// and fail over.
   double response_corruption_rate = 0.0;
-  /// Streaming data plane only: the node's block stream serves this many
-  /// blocks, then every further Next() fails with a retryable
-  /// kUnavailable (-1 = never). Deterministic — consumes no RNG draw
-  /// (the open already drew the gate's stochastic knobs). Models a node
-  /// dying mid-response after part of the result crossed the wire, the
-  /// case failover must handle by discarding the partial prefix.
+  /// The node's block stream serves this many blocks, then every further
+  /// Next() fails with a retryable kUnavailable (-1 = never).
+  /// Deterministic — consumes no RNG draw (the open already drew the
+  /// gate's stochastic knobs). Models a node dying mid-response after part
+  /// of the result crossed the wire, the case failover must handle by
+  /// discarding the partial prefix.
   int64_t fail_stream_after_blocks = -1;
-  /// Streaming data plane only: every block Next() stalls this long
-  /// before the engine produces the block (deterministic, no RNG draw).
-  /// Emulates a slow producer for deadline-expires-mid-stream tests.
+  /// Every block Next() — the end-of-stream one included — stalls this
+  /// long before the engine produces the block (deterministic, no RNG
+  /// draw). Emulates a slow producer for deadline and budget tests.
   double stream_block_stall_ms = 0.0;
   /// Probability that a document *stored* through the cluster's data
   /// plane (publisher, replica repair) is silently corrupted at rest: one
@@ -97,16 +97,18 @@ struct FaultProfile {
 
 /// A simulated cluster of DBMS nodes. Each node is an independent
 /// xdb::Database (its own name pool, stores, caches, indexes) behind a
-/// Driver that serializes engine access, so distinct nodes can execute
-/// sub-queries genuinely in parallel (see Executor). The query service
-/// reports both the *modeled* parallel response time — the maximum over
-/// the involved nodes, the paper's methodology ("we have used the time
-/// spent by the slowest site") — and the *measured* wall-clock of the real
-/// fan-out.
+/// Driver with a reader-writer lock: queries on one node share it, loads
+/// and DDL take it exclusively, and distinct nodes share nothing, so
+/// sub-queries execute genuinely in parallel (see Executor). The query
+/// service reports both the *modeled* parallel response time — the
+/// maximum over the involved nodes, the paper's methodology ("we have
+/// used the time spent by the slowest site") — and the *measured*
+/// wall-clock of the real fan-out.
 ///
-/// Thread-safety contract: the data plane (ExecuteOnNode / IsNodeDown /
-/// NodeRequestCount, used by executor workers) is thread-safe — each
-/// node's fault state is guarded by its own mutex. The control plane —
+/// Thread-safety contract: the data plane (PrepareOnNode /
+/// ExecutePreparedStreamOnNode / IsNodeDown / NodeRequestCount, used by
+/// executor workers) is thread-safe — each node's fault state is guarded
+/// by its own mutex. The control plane —
 /// SetFaultProfile, SetNodeDown, DropAllCaches, database(i),
 /// mutable_network, construction — is coordinator-thread-only and must
 /// not race a Dispatch in flight.
@@ -129,53 +131,36 @@ class ClusterSim {
   /// its worker pool persists across queries).
   Executor& executor() { return executor_; }
 
-  /// The data plane: runs `query` on node `i` through its fault profile —
-  /// a down (or fail-after-exhausted) node rejects with kUnavailable,
-  /// transient faults reject without touching the engine, latency spikes
-  /// stall the calling worker — then delegates to the node's driver.
-  /// Thread-safe; this is what the executor dispatches through.
-  ///
-  /// `stall_budget_ms` caps how long an injected latency spike may stall
-  /// this call: when the spike exceeds it, the call stalls only for the
-  /// budget and then fails fast with kDeadlineExceeded instead of
-  /// sleeping out a stall the caller's deadline has already written off.
-  /// < 0 (the default) = uncapped.
-  ///
-  /// `exec` forwards per-call execution knobs (intra-node morsel
-  /// parallelism) to the node's driver.
-  Result<xdb::QueryResult> ExecuteOnNode(size_t i, const std::string& query,
-                                         double stall_budget_ms = -1.0,
-                                         const xdb::ExecParams& exec = {});
-
   /// Prepares a compiled query on node `i`'s driver. A down (or
   /// fail-after-exhausted) node rejects with kUnavailable, but the fault
   /// gate's stochastic knobs are NOT consulted: preparation consumes no
   /// fault-RNG draw and no engine-request budget, so fault-injection
   /// schedules (and the tests that pin them) see exactly one draw per
-  /// *executed* attempt, prepared or not. Thread-safe.
+  /// *executed* attempt. Thread-safe.
   Result<PreparedSubQueryPtr> PrepareOnNode(
       size_t i, const xquery::CompiledQueryPtr& compiled);
 
-  /// Prepared counterpart of ExecuteOnNode: the same fault gate (one draw
-  /// / one engine-request per attempt, same stall-budget cap), then the
-  /// node's driver executes the handle without recompiling. Thread-safe.
-  Result<xdb::QueryResult> ExecutePreparedOnNode(
-      size_t i, const PreparedSubQuery& prepared,
-      double stall_budget_ms = -1.0, const xdb::ExecParams& exec = {});
-
-  /// Streaming counterparts of ExecuteOnNode/ExecutePreparedOnNode: the
-  /// same fault gate runs ONCE at open (one draw / one engine request per
-  /// attempt — a stream is one engine request no matter how many blocks
-  /// it yields), then the returned stream applies the node's
-  /// deterministic streaming knobs: per-block stalls
-  /// (stream_block_stall_ms), fail-after-N-blocks
-  /// (fail_stream_after_blocks), and — when the gate drew response
-  /// corruption — one flipped character in the first non-empty block,
-  /// after the driver stamped that block's digest. Thread-safe to open;
-  /// the returned stream follows the driver stream's one-thread contract.
-  Result<SubQueryStreamPtr> ExecuteStreamOnNode(
-      size_t i, const std::string& query, double stall_budget_ms = -1.0,
-      const xdb::ExecParams& exec = {});
+  /// The query data plane: opens a block stream over `prepared` on node
+  /// `i` through its fault profile, then wraps it with the node's
+  /// streaming knobs. The fault gate runs ONCE at open — one draw and one
+  /// engine request per attempt, however many blocks the stream yields: a
+  /// down (or fail-after-exhausted) node rejects with kUnavailable,
+  /// transient faults reject without touching the engine, latency spikes
+  /// stall the calling worker. The returned stream then applies the
+  /// deterministic knobs: per-block stalls (stream_block_stall_ms),
+  /// fail-after-N-blocks (fail_stream_after_blocks), and — when the gate
+  /// drew response corruption — one flipped character in the first
+  /// non-empty block, after the driver stamped that block's digest.
+  ///
+  /// `stall_budget_ms` caps how long an injected latency spike may stall
+  /// the open: when the spike exceeds it, the call stalls only for the
+  /// budget and then fails fast with kDeadlineExceeded instead of
+  /// sleeping out a stall the caller's deadline has already written off.
+  /// < 0 (the default) = uncapped. `exec` forwards per-call execution
+  /// knobs (block size, intra-node morsel parallelism) to the driver.
+  ///
+  /// Thread-safe to open; the returned stream follows the driver stream's
+  /// one-thread contract.
   Result<SubQueryStreamPtr> ExecutePreparedStreamOnNode(
       size_t i, const PreparedSubQuery& prepared,
       double stall_budget_ms = -1.0, const xdb::ExecParams& exec = {});
@@ -234,31 +219,15 @@ class ClusterSim {
   /// flight. Stochastic knobs draw in a fixed order (transient, crash,
   /// spike, corruption) and only when their rate is > 0, so enabling a
   /// new knob never perturbs the draw schedule of profiles that don't
-  /// use it. Shared by ExecuteOnNode and ExecutePreparedOnNode so both
-  /// paths have identical fault semantics. On a crash-restart rejection
-  /// `*crash_restart` is set and the caller drops the node's caches
-  /// outside the fault mutex. A spike longer than `stall_budget_ms`
-  /// (when >= 0) fails the gate with kDeadlineExceeded and `*spike_ms`
-  /// set to the capped stall — the request hangs up at the budget and
-  /// never reaches the engine, so it does not count as an engine
-  /// request (the RNG still draws every knob, keeping the schedule
-  /// identical to an uncapped run).
+  /// use it. On a crash-restart rejection `*crash_restart` is set and the
+  /// caller drops the node's caches outside the fault mutex. A spike
+  /// longer than `stall_budget_ms` (when >= 0) fails the gate with
+  /// kDeadlineExceeded and `*spike_ms` set to the capped stall — the
+  /// request hangs up at the budget and never reaches the engine, so it
+  /// does not count as an engine request (the RNG still draws every
+  /// knob, keeping the schedule identical to an uncapped run).
   Status FaultGate(size_t i, double stall_budget_ms, double* spike_ms,
                    bool* corrupt_response, bool* crash_restart);
-
-  /// Shared tail of ExecuteOnNode/ExecutePreparedOnNode: fault gate,
-  /// capped stall, driver execution via `run`, response corruption.
-  Result<xdb::QueryResult> ExecuteGated(
-      size_t i, double stall_budget_ms,
-      const std::function<Result<xdb::QueryResult>()>& run);
-
-  /// Streaming tail: fault gate once at open, capped stall, stream open
-  /// via `open`, then the driver stream wrapped with this node's
-  /// deterministic streaming knobs (snapshotted under the fault mutex at
-  /// open time).
-  Result<SubQueryStreamPtr> ExecuteStreamGated(
-      size_t i, double stall_budget_ms,
-      const std::function<Result<SubQueryStreamPtr>()>& open);
 
   std::vector<std::unique_ptr<LocalXdbDriver>> nodes_;
   std::vector<std::unique_ptr<NodeFaultState>> faults_;

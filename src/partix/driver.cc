@@ -38,19 +38,6 @@ struct DriverTelemetry {
   }
 };
 
-/// Shared lock with acquisition wait recorded to the read-wait histogram.
-class TimedSharedLock {
- public:
-  explicit TimedSharedLock(std::shared_mutex& mu) {
-    Stopwatch watch;
-    lock_ = std::shared_lock<std::shared_mutex>(mu);
-    DriverTelemetry::Get().read_lock_wait_ms->Observe(watch.ElapsedMillis());
-  }
-
- private:
-  std::shared_lock<std::shared_mutex> lock_;
-};
-
 /// Exclusive lock with acquisition wait recorded to the write-wait
 /// histogram.
 class TimedUniqueLock {
@@ -66,8 +53,8 @@ class TimedUniqueLock {
 };
 
 /// Shared-lock acquisition with the wait recorded to the read-wait
-/// histogram, as a movable lock for holders that outlive one call scope
-/// (the streaming path hands the lock to the stream object).
+/// histogram. Movable, so ExecutePreparedStream can hand the lock to the
+/// stream object it returns.
 std::shared_lock<std::shared_mutex> AcquireTimedSharedLock(
     std::shared_mutex& mu) {
   Stopwatch watch;
@@ -96,11 +83,10 @@ class LocalPreparedSubQuery : public PreparedSubQuery {
 /// lock, both held open-to-destruction. Member order matters — the
 /// cursor (which holds the *database's* shared lock) must be destroyed
 /// before the driver lock is released, so the driver lock is declared
-/// first. Each block is digest-stamped here, node-side, exactly like the
-/// materialized path stamps QueryResult::response_digest; engine time is
-/// accumulated across Next() calls and observed once at destruction so
-/// the partix_engine_execute_ms histogram still sees one sample per
-/// (sub-query, node) execution.
+/// first. Each block is digest-stamped here, node-side, before it
+/// crosses the wire; engine time is accumulated across Next() calls and
+/// observed once at destruction so the partix_engine_execute_ms histogram
+/// sees one sample per (sub-query, node) execution.
 class LocalSubQueryStream : public SubQueryStream {
  public:
   LocalSubQueryStream(std::shared_lock<std::shared_mutex> driver_lock,
@@ -155,65 +141,14 @@ Status LocalXdbDriver::StoreSerializedDocument(
                                          std::move(metadata));
 }
 
-Result<xdb::QueryResult> LocalXdbDriver::Execute(const std::string& query,
-                                                 const xdb::ExecParams& exec) {
-  const DriverTelemetry& telemetry = DriverTelemetry::Get();
-  // Shared: concurrent queries (and this query's own morsel workers, who
-  // run under the engine's shared lock on the pool this thread blocks in)
-  // proceed together; only loads/DDL exclude us.
-  TimedSharedLock lock(mu_);
-  telemetry.executes->Add();
-  Stopwatch engine_watch;
-  Result<xdb::QueryResult> result = db_.Execute(query, exec);
-  telemetry.engine_ms->Observe(engine_watch.ElapsedMillis());
-  // Stamp the response digest node-side, while the bytes are still what
-  // the engine produced: anything that mangles `serialized` after this
-  // point (the simulated wire, a buggy middlebox) is detectable by the
-  // executor's integrity check.
-  if (result.ok()) result->response_digest = Fnv1a64(result->serialized);
-  return result;
-}
-
 Result<PreparedSubQueryPtr> LocalXdbDriver::Prepare(
     const xquery::CompiledQueryPtr& compiled) {
   const DriverTelemetry& telemetry = DriverTelemetry::Get();
-  TimedSharedLock lock(mu_);
+  std::shared_lock<std::shared_mutex> lock = AcquireTimedSharedLock(mu_);
   telemetry.prepares->Add();
   PARTIX_ASSIGN_OR_RETURN(xdb::PrepareOutcome outcome, db_.Prepare(compiled));
   return PreparedSubQueryPtr(std::make_shared<LocalPreparedSubQuery>(
       std::move(outcome.plan), outcome.cache_hit, outcome.compile_ms));
-}
-
-Result<xdb::QueryResult> LocalXdbDriver::ExecutePrepared(
-    const PreparedSubQuery& prepared, const xdb::ExecParams& exec) {
-  const auto* local = dynamic_cast<const LocalPreparedSubQuery*>(&prepared);
-  if (local == nullptr) {
-    return Status::InvalidArgument(
-        "prepared handle was not produced by a LocalXdbDriver");
-  }
-  const DriverTelemetry& telemetry = DriverTelemetry::Get();
-  TimedSharedLock lock(mu_);
-  telemetry.executes->Add();
-  Stopwatch engine_watch;
-  Result<xdb::QueryResult> result = db_.ExecutePrepared(*local->plan(), exec);
-  telemetry.engine_ms->Observe(engine_watch.ElapsedMillis());
-  if (result.ok()) result->response_digest = Fnv1a64(result->serialized);
-  return result;
-}
-
-Result<SubQueryStreamPtr> LocalXdbDriver::ExecuteStream(
-    const std::string& query, const xdb::ExecParams& exec) {
-  const DriverTelemetry& telemetry = DriverTelemetry::Get();
-  std::shared_lock<std::shared_mutex> lock = AcquireTimedSharedLock(mu_);
-  telemetry.executes->Add();
-  Stopwatch engine_watch;
-  Result<xdb::ResultCursorPtr> cursor = db_.ExecuteStream(query, exec);
-  if (!cursor.ok()) {
-    telemetry.engine_ms->Observe(engine_watch.ElapsedMillis());
-    return cursor.status();
-  }
-  return SubQueryStreamPtr(std::make_unique<LocalSubQueryStream>(
-      std::move(lock), std::move(*cursor)));
 }
 
 Result<SubQueryStreamPtr> LocalXdbDriver::ExecutePreparedStream(
@@ -243,19 +178,19 @@ void LocalXdbDriver::DropCaches() {
 }
 
 bool LocalXdbDriver::HasCollection(const std::string& collection) {
-  TimedSharedLock lock(mu_);
+  std::shared_lock<std::shared_mutex> lock = AcquireTimedSharedLock(mu_);
   return db_.HasCollection(collection);
 }
 
 Result<uint64_t> LocalXdbDriver::CollectionDigest(
     const std::string& collection) {
-  TimedSharedLock lock(mu_);
+  std::shared_lock<std::shared_mutex> lock = AcquireTimedSharedLock(mu_);
   return db_.CollectionContentDigest(collection);
 }
 
 Result<xdb::CollectionMeta> LocalXdbDriver::CollectionMetaOf(
     const std::string& collection) {
-  TimedSharedLock lock(mu_);
+  std::shared_lock<std::shared_mutex> lock = AcquireTimedSharedLock(mu_);
   PARTIX_ASSIGN_OR_RETURN(const xdb::CollectionMeta* meta,
                           db_.Meta(collection));
   return *meta;
@@ -263,7 +198,7 @@ Result<xdb::CollectionMeta> LocalXdbDriver::CollectionMetaOf(
 
 Result<std::vector<xdb::StoredDoc>> LocalXdbDriver::ExportStoredDocs(
     const std::string& collection) {
-  TimedSharedLock lock(mu_);
+  std::shared_lock<std::shared_mutex> lock = AcquireTimedSharedLock(mu_);
   return db_.ExportStoredDocs(collection);
 }
 

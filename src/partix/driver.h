@@ -15,7 +15,7 @@
 namespace partix::middleware {
 
 /// A node-side prepared statement: the driver-specific artifact handed
-/// back by Driver::Prepare. Executing through it skips parse and static
+/// back by Driver::Prepare. Streaming through it skips parse and static
 /// analysis entirely, which is what lets the executor pay compilation at
 /// most once per (sub-query, node) across retries and replica failovers.
 ///
@@ -40,10 +40,10 @@ using PreparedSubQueryPtr = std::shared_ptr<const PreparedSubQuery>;
 
 /// A pull-based streamed sub-query response: the driver-side face of the
 /// batched result pipeline. Blocks arrive in result order; their
-/// serializations concatenate to exactly what the materialized Execute
-/// would have returned, and each block carries a driver-stamped digest so
-/// the executor can verify integrity block-by-block. metrics() is
-/// complete once Next() has returned false.
+/// serializations concatenate to exactly what the engine's reference
+/// evaluation (xdb::Database::ExecutePrepared) returns, and each block
+/// carries a driver-stamped digest so the executor can verify integrity
+/// block-by-block. metrics() is complete once Next() has returned false.
 ///
 /// Thread contract: NOT thread-safe, and (for lock-bound drivers like
 /// LocalXdbDriver) the stream holds node-side locks from open to
@@ -70,8 +70,13 @@ using SubQueryStreamPtr = std::unique_ptr<SubQueryStream>;
 /// embedded xdb engine (the eXist stand-in), but the query service is
 /// written against this interface.
 ///
+/// The query surface is two calls: Prepare a compiled sub-query into a
+/// node-side handle, then open a block stream over it with
+/// ExecutePreparedStream. Every sub-query the middleware runs takes this
+/// one path.
+///
 /// Thread-safety contract: implementations must tolerate concurrent
-/// Execute/Prepare/ExecutePrepared/DropCaches calls from executor worker
+/// Prepare/ExecutePreparedStream/DropCaches calls from executor worker
 /// threads — a node is "one DBMS", and one DBMS accepts requests from
 /// many connections at once. Under the multi-query scheduler those
 /// workers serve *different queries*: queries on the same node may run
@@ -95,33 +100,20 @@ class Driver {
       const std::string& collection, std::string doc_name, std::string xml,
       std::map<std::string, std::string> metadata) = 0;
 
-  /// Executes a query. Implementations stamp
-  /// `QueryResult::response_digest` (FNV-1a of the serialized result)
-  /// node-side before the response crosses the wire, so the executor can
-  /// detect in-flight corruption end-to-end. `exec` carries per-call
-  /// execution knobs (intra-node morsel parallelism); drivers that cannot
-  /// honor them run sequentially — results are identical either way.
-  virtual Result<xdb::QueryResult> Execute(
-      const std::string& query, const xdb::ExecParams& exec = {}) = 0;
-
   /// Compiles (or fetches from the node's plan cache) a prepared handle
   /// for a query the middleware already compiled. The handle is reusable
-  /// for any number of ExecutePrepared calls on this driver.
+  /// for any number of ExecutePreparedStream calls on this driver.
   virtual Result<PreparedSubQueryPtr> Prepare(
       const xquery::CompiledQueryPtr& compiled) = 0;
 
-  /// Executes a handle obtained from this driver's Prepare. Pays no parse
-  /// and no static analysis (`metrics.compile_ms == 0`).
-  virtual Result<xdb::QueryResult> ExecutePrepared(
-      const PreparedSubQuery& prepared, const xdb::ExecParams& exec = {}) = 0;
-
-  /// Streaming forms of Execute/ExecutePrepared: a pull-based block
-  /// cursor instead of one materialized response. Blocks are digest-
-  /// stamped individually; the concatenation is byte-identical to the
-  /// materialized call. For ExecutePreparedStream the handle must outlive
-  /// the stream.
-  virtual Result<SubQueryStreamPtr> ExecuteStream(
-      const std::string& query, const xdb::ExecParams& exec = {}) = 0;
+  /// Opens a block stream over a handle obtained from this driver's
+  /// Prepare. Pays no parse and no static analysis
+  /// (`metrics().compile_ms == 0`). Implementations stamp each block's
+  /// digest (FNV-1a of its bytes) node-side before it crosses the wire,
+  /// so the executor can detect in-flight corruption end to end. `exec`
+  /// carries per-call knobs (block size, intra-node morsel parallelism);
+  /// drivers that cannot honor morsels run sequentially — results are
+  /// identical either way. The handle must outlive the stream.
   virtual Result<SubQueryStreamPtr> ExecutePreparedStream(
       const PreparedSubQuery& prepared, const xdb::ExecParams& exec = {}) = 0;
 
@@ -158,8 +150,8 @@ class Driver {
 /// Driver for an in-process xdb::Database instance.
 ///
 /// Thread-safe for the Driver interface with reader-writer semantics: the
-/// query surface (Execute/Prepare/ExecutePrepared and the repair-side
-/// reads) holds a shared lock, so any number of executor workers — and
+/// query surface (Prepare, every open stream, and the repair-side reads)
+/// holds a shared lock, so any number of executor workers — and
 /// the morsel workers a query fans out inside the engine — read the node
 /// concurrently; DDL and document loading take the lock exclusively.
 /// True cross-node parallelism is unchanged: distinct nodes share no
@@ -178,15 +170,8 @@ class LocalXdbDriver : public Driver {
   Status StoreSerializedDocument(
       const std::string& collection, std::string doc_name, std::string xml,
       std::map<std::string, std::string> metadata) override;
-  Result<xdb::QueryResult> Execute(const std::string& query,
-                                   const xdb::ExecParams& exec = {}) override;
   Result<PreparedSubQueryPtr> Prepare(
       const xquery::CompiledQueryPtr& compiled) override;
-  Result<xdb::QueryResult> ExecutePrepared(
-      const PreparedSubQuery& prepared,
-      const xdb::ExecParams& exec = {}) override;
-  Result<SubQueryStreamPtr> ExecuteStream(
-      const std::string& query, const xdb::ExecParams& exec = {}) override;
   Result<SubQueryStreamPtr> ExecutePreparedStream(
       const PreparedSubQuery& prepared,
       const xdb::ExecParams& exec = {}) override;

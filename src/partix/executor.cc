@@ -181,7 +181,7 @@ void Executor::RecordFailure(size_t node) {
 }
 
 void Executor::RunOne(const SubQuery& sub, size_t index,
-                      const DispatchOptions& options,
+                      const DispatchOptions& options, BlockChannel* channel,
                       const Stopwatch& dispatch_watch, SubQueryOutcome* out) {
   const ExecutorTelemetry& counters = ExecutorTelemetry::Get();
   const RetryPolicy& retry = options.retry;
@@ -202,36 +202,31 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
   // engine's coordinator claims chunks itself (help-while-waiting), so a
   // saturated pool degrades to sequential instead of deadlocking.
   xdb::ExecParams exec;
+  exec.stream_block_items = options.stream_block_items;
   if (options.intra_node_parallelism > 1) {
     exec.morsel_parallelism = options.intra_node_parallelism;
     exec.morsel_pool = &EffectivePool();
   }
-  if (options.stream != nullptr) {
-    exec.stream_block_items = options.stream_block_items;
-  }
 
-  // Compile-once contract: when the plan ships a compiled sub-query, each
-  // node is prepared at most once for this sub-query, on first contact;
-  // retries and failovers (including wrap-around back to an earlier node)
-  // reuse the cached handle, so fault recovery never recompiles.
+  // Compile-once contract: each node is prepared at most once for this
+  // sub-query, on first contact; retries and failovers (including
+  // wrap-around back to an earlier node) reuse the cached handle, so fault
+  // recovery never recompiles.
   std::map<size_t, PreparedSubQueryPtr> prepared_by_node;
 
   // Finalizes the per-sub-query bookkeeping every return path shares:
   // wall time, aggregate counters, and the span's canonical
   // `fragment@node<i>` name plus summary tags.
   auto finish = [&] {
-    // Streaming: close this sub-query's channel lane with its final
-    // status — every return path runs finish exactly once, which is what
-    // guarantees the consumer's Pull() always terminates.
-    if (options.stream != nullptr) {
-      options.stream->Finish(
-          index, out->result.ok() ? Status::Ok() : out->result.status());
-    }
+    // Close this sub-query's channel lane with its final status — every
+    // return path runs finish exactly once, which is what guarantees the
+    // consumer's Pull() always terminates.
+    channel->Finish(index, out->status);
     out->wall_ms = watch.ElapsedMillis();
     counters.subquery_wall_ms->Observe(out->wall_ms);
     if (out->attempts > 1) counters.retries->Add(out->attempts - 1);
     if (out->timed_out) counters.timeouts->Add();
-    if (!out->result.ok()) counters.failures->Add();
+    if (!out->status.ok()) counters.failures->Add();
     if (tracer != nullptr) {
       out->span.name = sub.fragment + "@node" + std::to_string(out->node);
       out->span.duration_ms = tracer->NowMs() - out->span.start_ms;
@@ -242,10 +237,7 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
         out->span.AddTag("plan_cache_hits",
                          std::to_string(out->plan_cache_hits));
       }
-      out->span.AddTag("status",
-                       StatusCodeName(out->result.ok()
-                                          ? StatusCode::kOk
-                                          : out->result.status().code()));
+      out->span.AddTag("status", StatusCodeName(out->status.code()));
     }
   };
 
@@ -261,7 +253,7 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
   // verdicts, tests) matches on this exact shape.
   auto fail_deadline = [&] {
     out->timed_out = true;
-    out->result = Status::DeadlineExceeded(
+    out->status = Status::DeadlineExceeded(
         "sub-query deadline (" + std::to_string(retry.subquery_deadline_ms) +
         " ms) exceeded after " + std::to_string(out->attempts) +
         " attempt(s): " + last_error.message());
@@ -406,44 +398,38 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
 
     Stopwatch attempt_watch(clock_);
     bool stream_opened = false;
-    Result<xdb::QueryResult> result = [&]() -> Result<xdb::QueryResult> {
-      const PreparedSubQuery* handle = nullptr;
-      if (sub.compiled != nullptr) {
-        auto it = prepared_by_node.find(node);
-        if (it == prepared_by_node.end()) {
-          const double prepare_start =
-              tracer != nullptr ? tracer->NowMs() : 0.0;
-          Result<PreparedSubQueryPtr> prep =
-              cluster_->PrepareOnNode(node, sub.compiled);
-          if (attempt_span != nullptr) {
-            attempt_span->children.emplace_back("prepare");
-            telemetry::TraceSpan& prepare_span =
-                attempt_span->children.back();
-            prepare_span.start_ms = prepare_start;
-            prepare_span.duration_ms = tracer->NowMs() - prepare_start;
-            if (prep.ok()) {
-              prepare_span.AddTag("cache",
-                                  (*prep)->cache_hit() ? "hit" : "miss");
-              prepare_span.AddTag("compile_ms",
-                                  std::to_string((*prep)->compile_ms()));
-            } else {
-              prepare_span.AddTag("status",
-                                  StatusCodeName(prep.status().code()));
-            }
-          }
-          // A failed prepare (e.g. the node went down after candidate
-          // selection) flows through the normal retry/failover handling.
-          if (!prep.ok()) return prep.status();
-          ++out->prepares;
-          if ((*prep)->cache_hit()) {
-            ++out->plan_cache_hits;
+    Status status = [&]() -> Status {
+      auto it = prepared_by_node.find(node);
+      if (it == prepared_by_node.end()) {
+        const double prepare_start = tracer != nullptr ? tracer->NowMs() : 0.0;
+        Result<PreparedSubQueryPtr> prep =
+            cluster_->PrepareOnNode(node, sub.compiled);
+        if (attempt_span != nullptr) {
+          attempt_span->children.emplace_back("prepare");
+          telemetry::TraceSpan& prepare_span = attempt_span->children.back();
+          prepare_span.start_ms = prepare_start;
+          prepare_span.duration_ms = tracer->NowMs() - prepare_start;
+          if (prep.ok()) {
+            prepare_span.AddTag("cache",
+                                (*prep)->cache_hit() ? "hit" : "miss");
+            prepare_span.AddTag("compile_ms",
+                                std::to_string((*prep)->compile_ms()));
           } else {
-            ++out->plan_cache_misses;
+            prepare_span.AddTag("status",
+                                StatusCodeName(prep.status().code()));
           }
-          out->compile_ms += (*prep)->compile_ms();
-          it = prepared_by_node.emplace(node, std::move(*prep)).first;
         }
-        handle = it->second.get();
+        // A failed prepare (e.g. the node went down after candidate
+        // selection) flows through the normal retry/failover handling.
+        if (!prep.ok()) return prep.status();
+        ++out->prepares;
+        if ((*prep)->cache_hit()) {
+          ++out->plan_cache_hits;
+        } else {
+          ++out->plan_cache_misses;
+        }
+        out->compile_ms += (*prep)->compile_ms();
+        it = prepared_by_node.emplace(node, std::move(*prep)).first;
       }
       if (rpc_sec > 0.0) {
         // Emulate the synchronous round trip to a remote DBMS node: the
@@ -452,136 +438,74 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
         // real parallelism.
         std::this_thread::sleep_for(std::chrono::duration<double>(rpc_sec));
       }
-      if (options.stream != nullptr) {
-        // Streaming attempt: open the node's block cursor, then forward
-        // blocks into the channel as they arrive. Integrity and the
-        // attempt budget are enforced per block; any failure here flows
-        // through the normal retry/failover machinery, and the channel's
-        // replay verification makes the next attempt's re-produced
-        // prefix invisible to the consumer.
-        Result<SubQueryStreamPtr> opened =
-            handle != nullptr
-                ? cluster_->ExecutePreparedStreamOnNode(node, *handle,
-                                                        stall_budget_ms, exec)
-                : cluster_->ExecuteStreamOnNode(node, sub.query,
-                                                stall_budget_ms, exec);
-        if (!opened.ok()) return opened.status();
-        stream_opened = true;
-        SubQueryStreamPtr stream = std::move(*opened);
-        options.stream->BeginAttempt(index);
-        for (;;) {
-          xdb::ResultBlock block;
-          Result<bool> more = stream->Next(&block);
-          if (!more.ok()) return more.status();
-          if (!*more) break;
-          if (options.verify_response_digests && block.digest != 0 &&
-              Fnv1a64(block.serialized) != block.digest) {
-            ++out->corrupt_responses;
-            counters.corrupt_responses->Add();
-            if (attempt_span != nullptr) {
-              attempt_span->AddTag("corrupt", "true");
-            }
-            return Status::Unavailable("corrupt response from node" +
-                                       std::to_string(node) +
-                                       " (digest mismatch)");
-          }
-          Status pushed = options.stream->Push(index, std::move(block));
-          if (!pushed.ok()) return pushed;  // non-retryable by design
-          if (attempt_budget_ms > 0.0 &&
-              attempt_watch.ElapsedMillis() > attempt_budget_ms) {
-            return Status::DeadlineExceeded(
-                "attempt to node" + std::to_string(node) +
-                " exceeded its budget (" +
-                std::to_string(attempt_budget_ms) + " ms) mid-stream");
-          }
+      // Open the node's block stream, then forward blocks into the channel
+      // as they arrive. Integrity and the attempt budget are enforced per
+      // block; any failure here flows through the normal retry/failover
+      // machinery, and the channel's replay verification makes the next
+      // attempt's re-produced prefix invisible to the consumer.
+      PARTIX_ASSIGN_OR_RETURN(
+          SubQueryStreamPtr stream,
+          cluster_->ExecutePreparedStreamOnNode(node, *it->second,
+                                                stall_budget_ms, exec));
+      stream_opened = true;
+      channel->BeginAttempt(index);
+      for (;;) {
+        xdb::ResultBlock block;
+        PARTIX_ASSIGN_OR_RETURN(const bool more, stream->Next(&block));
+        if (!more) break;
+        if (options.verify_response_digests && block.digest != 0 &&
+            Fnv1a64(block.serialized) != block.digest) {
+          ++out->corrupt_responses;
+          counters.corrupt_responses->Add();
+          if (attempt_span != nullptr) attempt_span->AddTag("corrupt", "true");
+          return Status::Unavailable("corrupt response from node" +
+                                     std::to_string(node) +
+                                     " (digest mismatch)");
         }
-        // Clean end: the bytes went through the channel; the result
-        // carries only the engine-side metrics.
-        xdb::QueryResult done;
-        done.metrics = stream->metrics();
-        return done;
+        // A failed push is non-retryable by design (replay divergence).
+        PARTIX_RETURN_IF_ERROR(channel->Push(index, std::move(block)));
+        if (attempt_budget_ms > 0.0 &&
+            attempt_watch.ElapsedMillis() > attempt_budget_ms) {
+          return Status::DeadlineExceeded(
+              "attempt to node" + std::to_string(node) +
+              " exceeded its budget (" + std::to_string(attempt_budget_ms) +
+              " ms) mid-stream");
+        }
       }
-      if (handle != nullptr) {
-        return cluster_->ExecutePreparedOnNode(node, *handle,
-                                               stall_budget_ms, exec);
+      // The node answered in full, but the end-of-stream read may itself
+      // land past the budget: a real client would have hung up. Discard
+      // the answer and treat it as a timeout — the engine work happened
+      // (counted below as an engine request).
+      const double attempt_ms = attempt_watch.ElapsedMillis();
+      if (attempt_budget_ms > 0.0 && attempt_ms > attempt_budget_ms) {
+        ++out->discarded_successes;
+        return Status::DeadlineExceeded(
+            "attempt to node" + std::to_string(node) + " took " +
+            std::to_string(attempt_ms) + " ms (budget " +
+            std::to_string(attempt_budget_ms) + " ms)");
       }
-      return cluster_->ExecuteOnNode(node, sub.query, stall_budget_ms, exec);
+      out->metrics = stream->metrics();
+      return Status::Ok();
     }();
-    const double attempt_ms = attempt_watch.ElapsedMillis();
 
     // An attempt that reached the engine consumed one engine request —
     // track it whether or not the result survives, so node-side request
     // counters and outcome accounting conserve. The fault gate's
     // rejections (transient, down, circuit-open prepares) are retryable
-    // kUnavailable and never touched the engine.
-    // Streaming: an attempt whose stream *opened* reached the engine,
-    // even if the stream later died mid-flight with a retryable error.
-    const bool engine_served =
-        result.ok() || stream_opened || !Retryable(result.status());
-    if (engine_served) ++out->engine_requests;
-
-    // End-to-end integrity: recompute the digest the node stamped before
-    // the response crossed the (simulated) wire. A mismatch means the
-    // bytes were mangled in flight — the engine's work happened (counted
-    // above) but the result is unusable, so fold in its compile
-    // accounting, discard it, and fail over as a retryable node fault. A
-    // corrupt response must never be served.
-    if (result.ok() && options.verify_response_digests &&
-        result->response_digest != 0 &&
-        Fnv1a64(result->serialized) != result->response_digest) {
-      if (sub.compiled == nullptr) {
-        out->compile_ms += result->metrics.compile_ms;
-        out->plan_cache_hits += result->metrics.plan_cache_hits;
-        out->plan_cache_misses += result->metrics.plan_cache_misses;
-      }
-      ++out->corrupt_responses;
-      counters.corrupt_responses->Add();
-      if (attempt_span != nullptr) attempt_span->AddTag("corrupt", "true");
-      result = Status::Unavailable("corrupt response from node" +
-                                   std::to_string(node) +
-                                   " (digest mismatch)");
-    }
-
-    // (Streaming attempts enforce the budget per block instead: blocks
-    // already forwarded through the channel cannot be discarded post hoc.)
-    if (result.ok() && options.stream == nullptr && attempt_budget_ms > 0.0 &&
-        attempt_ms > attempt_budget_ms) {
-      // The node answered, but past its budget: a real client would have
-      // hung up. Discard the result and treat as a timeout — after
-      // folding in the engine-side work that DID happen (compile time,
-      // plan-cache traffic on the string path), so discarded successes
-      // leave no accounting hole.
-      if (sub.compiled == nullptr) {
-        out->compile_ms += result->metrics.compile_ms;
-        out->plan_cache_hits += result->metrics.plan_cache_hits;
-        out->plan_cache_misses += result->metrics.plan_cache_misses;
-      }
-      ++out->discarded_successes;
-      result = Status::DeadlineExceeded(
-          "attempt to node" + std::to_string(node) + " took " +
-          std::to_string(attempt_ms) + " ms (budget " +
-          std::to_string(attempt_budget_ms) + " ms)");
+    // kUnavailable and never touched the engine; an attempt whose stream
+    // *opened* reached the engine, even if it later died mid-flight.
+    if (status.ok() || stream_opened || !Retryable(status)) {
+      ++out->engine_requests;
     }
 
     if (attempt_span != nullptr) {
       attempt_span->duration_ms = tracer->NowMs() - attempt_span->start_ms;
-      attempt_span->AddTag(
-          "status", StatusCodeName(result.ok() ? StatusCode::kOk
-                                               : result.status().code()));
+      attempt_span->AddTag("status", StatusCodeName(status.code()));
     }
 
-    if (result.ok()) {
-      if (sub.compiled == nullptr) {
-        // String path: the node compiled (or plan-cache-served) inside
-        // Execute; lift its accounting onto the outcome so both paths
-        // report uniformly.
-        out->compile_ms += result->metrics.compile_ms;
-        out->plan_cache_hits += result->metrics.plan_cache_hits;
-        out->plan_cache_misses += result->metrics.plan_cache_misses;
-      }
+    if (status.ok()) {
       RecordSuccess(node);
       if (health_ != nullptr) health_->ReportSuccess(node);
-      out->result = std::move(result);
       finish();
       return;
     }
@@ -591,10 +515,10 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
     // rejections, timeouts, corrupt responses — the retryable set) raise
     // suspicion. Deterministic engine errors (parse failure, missing
     // collection) say nothing about node liveness.
-    if (health_ != nullptr && Retryable(result.status())) {
+    if (health_ != nullptr && Retryable(status)) {
       health_->ReportFailure(node);
     }
-    last_error = result.status();
+    last_error = status;
     if (last_error.code() == StatusCode::kDeadlineExceeded) {
       out->timed_out = true;
       ++out->timed_out_attempts;
@@ -602,14 +526,14 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
     if (!Retryable(last_error)) {
       // Deterministic engine errors (parse failure, missing collection,
       // ...) would fail identically on every replica: fail fast.
-      out->result = std::move(result);
+      out->status = std::move(status);
       finish();
       return;
     }
     if (!backoff_for_retry()) return;
   }
 
-  out->result = Status(last_error.code(),
+  out->status = Status(last_error.code(),
                        "sub-query failed after " +
                            std::to_string(out->attempts) +
                            " attempt(s): " + last_error.message());
@@ -618,6 +542,7 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
 
 double Executor::Dispatch(const std::vector<SubQuery>& subqueries,
                           const DispatchOptions& options,
+                          BlockChannel* channel,
                           std::vector<SubQueryOutcome>* outcomes) {
   outcomes->clear();
   outcomes->resize(subqueries.size());
@@ -641,7 +566,7 @@ double Executor::Dispatch(const std::vector<SubQuery>& subqueries,
           std::min(cap, options.intra_node_parallelism));
     }
     for (size_t i = 0; i < n; ++i) {
-      RunOne(subqueries[i], i, options, watch, &(*outcomes)[i]);
+      RunOne(subqueries[i], i, options, channel, watch, &(*outcomes)[i]);
     }
     return watch.ElapsedMillis();
   }
@@ -670,10 +595,10 @@ double Executor::Dispatch(const std::vector<SubQuery>& subqueries,
   std::atomic<size_t> next{0};
   Latch done(tasks);
   for (size_t w = 0; w < tasks; ++w) {
-    pool.Submit([this, &subqueries, &next, &done, &options, &watch,
+    pool.Submit([this, &subqueries, &next, &done, &options, channel, &watch,
                  outcomes, n] {
       for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-        RunOne(subqueries[i], i, options, watch, &(*outcomes)[i]);
+        RunOne(subqueries[i], i, options, channel, watch, &(*outcomes)[i]);
       }
       done.CountDown();
     });

@@ -37,9 +37,10 @@ struct RetryPolicy {
   /// factor in [1-jitter, 1+jitter].
   double jitter = 0.5;
   /// Per-attempt budget (ms). An attempt whose measured wall time exceeds
-  /// this is treated as kDeadlineExceeded — its result is discarded even
-  /// if the node eventually answered — and retried/failed over like any
-  /// transient error. 0 = no per-attempt timeout.
+  /// this — checked after every forwarded block and again at end of
+  /// stream — is treated as kDeadlineExceeded: its result is discarded
+  /// even if the node eventually answered, and it is retried/failed over
+  /// like any transient error. 0 = no per-attempt timeout.
   double attempt_timeout_ms = 0.0;
   /// Total budget (ms) across all attempts of one sub-query, including
   /// backoff sleeps. Once exhausted, the sub-query fails with
@@ -76,36 +77,31 @@ struct DispatchOptions {
   /// docs/intra-node-parallelism.md.
   size_t intra_node_parallelism = 1;
   RetryPolicy retry;
-  /// End-to-end integrity: recompute each response's digest and compare
-  /// it against the node-stamped `QueryResult::response_digest`. A
+  /// End-to-end integrity: recompute each result block's digest and
+  /// compare it against the node-stamped `ResultBlock::digest`. A
   /// mismatch is a retryable node fault (the executor fails over to a
-  /// replica), never a served result. Responses carrying no digest
-  /// (response_digest == 0) are not checked.
+  /// replica), never a forwarded block. Blocks carrying no digest
+  /// (digest == 0) are not checked.
   bool verify_response_digests = true;
   /// When set, every sub-query fills `SubQueryOutcome::span` with its
   /// span subtree (attempts, backoffs, failovers), timed against the
   /// tracer's epoch/clock. Null (the default) records nothing. The
   /// tracer must outlive the Dispatch call; workers only read it.
   const telemetry::Tracer* tracer = nullptr;
-  /// When set, sub-queries stream: each worker opens a block cursor on
-  /// its node and forwards blocks into this channel (lane = sub-query
-  /// index) as they arrive, instead of materializing one QueryResult.
-  /// Every block is digest-verified (under verify_response_digests)
-  /// before it enters the channel; a mid-stream node failure fails over
-  /// and the channel's replay verification keeps the forwarded prefix
-  /// exact. On success the outcome's result is a QueryResult carrying
-  /// only metrics (empty bytes — they went through the channel). The
-  /// channel must outlive the Dispatch; Finish(index, status) fires
-  /// exactly once per sub-query, after all retries resolved.
-  BlockChannel* stream = nullptr;
   /// Target items per streamed block (0 = the engine default).
   size_t stream_block_items = 0;
 };
 
 /// Outcome of one dispatched sub-query, index-aligned with the plan's
-/// sub-query list.
+/// sub-query list. The answer itself went through the dispatch's
+/// BlockChannel; the outcome carries how it went.
 struct SubQueryOutcome {
-  Result<xdb::QueryResult> result;
+  /// The sub-query's final status (also the status its channel lane
+  /// finished with).
+  Status status = Status::Ok();
+  /// Engine-side metrics of the attempt that served the answer (elapsed,
+  /// parse and result counters); zero when the sub-query failed.
+  xdb::QueryMetrics metrics;
   /// Measured wall-clock of this dispatch on its worker, across every
   /// attempt: RPC emulation (if configured on the cluster's NetworkModel),
   /// node execution, and backoff sleeps.
@@ -116,7 +112,7 @@ struct SubQueryOutcome {
   /// targeted (0 when the primary answered, or when there was nowhere
   /// else to go).
   size_t failovers = 0;
-  /// The node that produced `result` (last node targeted on failure).
+  /// The node that served the answer (last node targeted on failure).
   /// Defaults to the sub-query's primary when nothing was reachable.
   size_t node = 0;
   /// True when any attempt of this sub-query hit its per-attempt budget
@@ -140,11 +136,10 @@ struct SubQueryOutcome {
   /// Attempts that ended kDeadlineExceeded (per-attempt budget or the
   /// composed deadline), whether or not the sub-query later succeeded.
   size_t timed_out_attempts = 0;
-  /// Attempts the engine *completed successfully* but whose wall time
-  /// exceeded the attempt budget, so the result was discarded and the
-  /// attempt recorded as a timeout. The engine-side work still happened:
-  /// these attempts count in `engine_requests` and their compile /
-  /// plan-cache accounting is folded into the fields below.
+  /// Attempts whose stream the engine *completed successfully* (end of
+  /// stream reached) past the attempt budget, so the result was
+  /// discarded and the attempt recorded as a timeout. The engine-side
+  /// work still happened: these attempts count in `engine_requests`.
   size_t discarded_successes = 0;
   /// Milliseconds between Dispatch admitting the sub-query and a worker
   /// starting it (pool queueing; ~0 under sequential dispatch).
@@ -152,11 +147,9 @@ struct SubQueryOutcome {
   // --- compile-once accounting ---
   /// Node-side Prepare calls made for this sub-query: at most one per
   /// distinct node tried, however many attempts ran there (retries and
-  /// failovers reuse the handle). 0 when the sub-query carried no
-  /// compiled form and executed by string.
+  /// failovers reuse the handle).
   size_t prepares = 0;
-  /// Of those prepares (or, on the string path, of the executions that
-  /// produced `result`), how many were served from the node's plan cache.
+  /// Of those prepares, how many were served from the node's plan cache.
   uint64_t plan_cache_hits = 0;
   uint64_t plan_cache_misses = 0;
   /// Node-side compile cost this sub-query actually paid (ms, summed over
@@ -170,9 +163,9 @@ struct SubQueryOutcome {
 };
 
 /// The middleware's sub-query executor: dispatches each SubQuery of a
-/// distributed plan on a worker thread, gathers the per-node
-/// `Result<xdb::QueryResult>`s, and reports the measured wall-clock time
-/// of the whole fan-out/fan-in. This is what turns the paper's *modeled*
+/// distributed plan on a worker thread, streams each node's result blocks
+/// into a BlockChannel, and reports the measured wall-clock time of the
+/// whole fan-out/fan-in. This is what turns the paper's *modeled*
 /// parallel response time (max over sites) into an observable property:
 /// `DistributedResult` carries both figures.
 ///
@@ -192,16 +185,15 @@ struct SubQueryOutcome {
 /// shared by every Executor in the process. The pool is grown (never
 /// shrunk) to at most `max(hardware_concurrency, cluster node_count)`
 /// threads per dispatch. Why that cap and not plain
-/// `hardware_concurrency`: same-node sub-queries serialize at the
-/// per-node driver mutex, so threads beyond one-per-node cannot add
-/// concurrency; but workers *block* (driver mutex, emulated RPC,
-/// injected latency) holding no core, so one-per-node must stay
-/// available even when the host has fewer cores than the cluster has
-/// nodes — otherwise blocking waits serialize and the overlap
-/// `bench/parallel_speedup` measures disappears. Requests beyond the
-/// cap still all complete: tasks claim sub-query indices from a shared
-/// counter, so a smaller (or busy) pool simply drains the same work
-/// with fewer threads.
+/// `hardware_concurrency`: CPU-bound work cannot use more threads than
+/// cores, but workers also *block* (emulated RPC, injected latency,
+/// channel backpressure, a loader holding the driver's write lock)
+/// holding no core, so one-per-node must stay available even when the
+/// host has fewer cores than the cluster has nodes — otherwise blocking
+/// waits serialize and the overlap `bench/parallel_speedup` measures
+/// disappears. Requests beyond the cap still all complete: tasks claim
+/// sub-query indices from a shared counter, so a smaller (or busy) pool
+/// simply drains the same work with fewer threads.
 ///
 /// Thread-safety: Dispatch is safe to call concurrently from multiple
 /// client threads (the multi-query service requires it). Workers write
@@ -216,24 +208,25 @@ class Executor {
  public:
   explicit Executor(ClusterSim* cluster) : cluster_(cluster) {}
 
-  /// Runs every sub-query against its replica set. `outcomes` is resized
-  /// and index-aligned with `subqueries`, so downstream result
-  /// composition is deterministic regardless of completion order.
-  /// Returns the measured wall-clock milliseconds of the fan-out.
+  /// Runs every sub-query against its replica set: prepare the compiled
+  /// sub-query on the chosen node (once per node), open a block stream
+  /// over the handle, and forward each digest-verified block into
+  /// `channel` lane `i` (the sub-query's index) as it arrives. A
+  /// mid-stream failure fails over, and the channel's replay
+  /// verification keeps the forwarded prefix exact. The channel must
+  /// outlive the call and have a consumer draining it (or a cap large
+  /// enough for the whole answer); Finish(i, status) fires exactly once
+  /// per sub-query, after all retries resolved. `outcomes` is resized
+  /// and index-aligned with `subqueries`. Returns the measured
+  /// wall-clock milliseconds of the fan-out.
   ///
   /// Pre: every node index in every sub-query's replica list is in range
-  /// (the query service validates routing before dispatching).
+  /// (the query service validates routing before dispatching), and every
+  /// sub-query carries its compiled form (a null one fails the sub-query
+  /// with the node's kInvalidArgument).
   double Dispatch(const std::vector<SubQuery>& subqueries,
-                  const DispatchOptions& options,
+                  const DispatchOptions& options, BlockChannel* channel,
                   std::vector<SubQueryOutcome>* outcomes);
-
-  /// Back-compat convenience: Dispatch with default retry policy.
-  double Dispatch(const std::vector<SubQuery>& subqueries, size_t parallelism,
-                  std::vector<SubQueryOutcome>* outcomes) {
-    DispatchOptions options;
-    options.parallelism = parallelism;
-    return Dispatch(subqueries, options, outcomes);
-  }
 
   /// Replaces the breaker policy and resets all breaker state.
   /// Coordinator-only.
@@ -297,7 +290,8 @@ class Executor {
   };
 
   void RunOne(const SubQuery& sub, size_t index, const DispatchOptions& options,
-              const Stopwatch& dispatch_watch, SubQueryOutcome* out);
+              BlockChannel* channel, const Stopwatch& dispatch_watch,
+              SubQueryOutcome* out);
 
   /// The pool this executor actually runs on: the injected scheduler pool
   /// when set, else the process-wide fallback. Morsel workers draw from

@@ -154,13 +154,14 @@ Result<DocumentPtr> JoinGroup(const std::string& source,
 /// Join-reconstruct composition: joins the fetched fragment documents of
 /// each source document, then evaluates the plan's original query once
 /// over the joined documents, in source-name order, as its collection.
-Result<std::string> ComposeJoin(const DistributedPlan& plan,
-                                std::vector<xdb::QueryResult> partials,
+Result<std::string> ComposeJoin(const std::string& collection,
+                                const xquery::CompiledQuery& query,
+                                const std::vector<xquery::Sequence>& lanes,
                                 uint64_t* result_items) {
   // Group fetched documents by source document.
   std::map<std::string, std::vector<FetchedDoc>> groups;
-  for (xdb::QueryResult& partial : partials) {
-    for (const xquery::Item& item : partial.items) {
+  for (const xquery::Sequence& lane : lanes) {
+    for (const xquery::Item& item : lane) {
       if (!item.IsNode()) {
         return Status::Internal(
             "fetch sub-query returned a non-node item");
@@ -178,7 +179,7 @@ Result<std::string> ComposeJoin(const DistributedPlan& plan,
 
   auto pool = std::make_shared<xml::NamePool>();
   std::map<std::string, std::vector<DocumentPtr>> collections;
-  std::vector<DocumentPtr>& docs = collections[plan.collection];
+  std::vector<DocumentPtr>& docs = collections[collection];
   docs.reserve(groups.size());
   for (auto& [source, fetched] : groups) {
     bool wire = false;
@@ -193,19 +194,32 @@ Result<std::string> ComposeJoin(const DistributedPlan& plan,
     docs.push_back(std::move(joined));
   }
 
-  // Reuse the plan's compiled original query; a hand-built plan without
-  // one is compiled here, once.
-  xquery::CompiledQueryPtr compiled = plan.compiled;
-  if (compiled == nullptr) {
-    PARTIX_ASSIGN_OR_RETURN(
-        compiled, xquery::CompiledQuery::Compile(plan.original_query));
-  }
   xquery::MapResolver resolver(std::move(collections));
   xquery::Evaluator evaluator(&resolver, pool);
-  PARTIX_ASSIGN_OR_RETURN(xquery::Sequence items,
-                          evaluator.Eval(compiled->ast()));
+  PARTIX_ASSIGN_OR_RETURN(xquery::Sequence items, evaluator.Eval(query.ast()));
   *result_items = items.size();
   return xquery::SerializeSequence(items);
+}
+
+/// Compiles, once, what a hand-built plan ships as text only: every
+/// sub-query without its compiled form and, for a join, the original
+/// query the composition re-evaluates. Decomposed plans carry both and
+/// pass through untouched.
+Status CompileHandBuilt(const DistributedPlan& plan,
+                        std::vector<SubQuery>* subqueries,
+                        xquery::CompiledQueryPtr* original) {
+  for (SubQuery& sub : *subqueries) {
+    if (sub.compiled != nullptr) continue;
+    PARTIX_ASSIGN_OR_RETURN(sub.compiled,
+                            xquery::CompiledQuery::Compile(sub.query));
+  }
+  *original = plan.compiled;
+  if (*original == nullptr &&
+      plan.composition == Composition::kJoinReconstruct) {
+    PARTIX_ASSIGN_OR_RETURN(
+        *original, xquery::CompiledQuery::Compile(plan.original_query));
+  }
+  return Status::Ok();
 }
 
 /// Canonical "fragment at node" token used by every error message and
@@ -287,10 +301,8 @@ class InflightResultCharge {
     if (governor_ != nullptr) governor_->Charge(id_, bytes);
   }
 
-  /// Early release of bytes no longer held (a partial drained into the
-  /// composed answer, a staged lane discarded on failure). Without this
-  /// the coordinator's peak charge double-counts every result byte:
-  /// once as a partial and again inside the composed answer.
+  /// Early release of bytes no longer held (a lane rolled back on
+  /// failure).
   void Release(size_t bytes) {
     if (bytes == 0) return;
     bytes = std::min(bytes, bytes_);
@@ -338,8 +350,9 @@ Result<DistributedResult> QueryService::Execute(
     const std::string& query, const ExecutionOptions& options) {
   // Compile-once contract: this coordinator thread parses `query` exactly
   // once, in Decompose. Sub-queries are structural rewrites of that AST
-  // and ComposeJoin reuses the compiled original, so no execution path
-  // below re-parses on this thread. (Thread-local counter: worker-thread
+  // and ComposeJoin reuses the compiled original, so ExecutePlan's
+  // hand-built-plan compile never runs and nothing below re-parses on
+  // this thread. (Thread-local counter: worker-thread
   // parses — none are expected either — would not mask a coordinator
   // regression here.)
   const uint64_t parses_before = xquery::ThreadParseCount();
@@ -484,6 +497,17 @@ Result<DistributedResult> QueryService::ExecutePlan(
     }
   };
 
+  // Hand-built plans may ship text-only sub-queries: compile them here,
+  // once, so everything below runs prepared. An unparsable one fails the
+  // query before anything is dispatched.
+  std::vector<SubQuery> subqueries = plan.subqueries;
+  xquery::CompiledQueryPtr original;
+  Status compiled = CompileHandBuilt(plan, &subqueries, &original);
+  if (!compiled.ok()) {
+    counters.query_failures->Add();
+    return compiled;
+  }
+
   if (options.cold_caches) cluster_->DropAllCaches();
 
   // Validate routing before dispatching anything, and report *every*
@@ -491,7 +515,7 @@ Result<DistributedResult> QueryService::ExecutePlan(
   // picture, not whichever unreachable fragment happened to come first.
   // Tokens are `fragment@node<i>` in every error path.
   std::string out_of_range;
-  for (const SubQuery& sub : plan.subqueries) {
+  for (const SubQuery& sub : subqueries) {
     for (size_t node : ReplicasOrPrimary(sub)) {
       if (node >= cluster_->node_count()) {
         if (!out_of_range.empty()) out_of_range += ", ";
@@ -507,10 +531,10 @@ Result<DistributedResult> QueryService::ExecutePlan(
 
   // Liveness: a fragment is unreachable only when *every* replica is
   // down — the executor routes around individual down nodes.
-  std::vector<const SubQuery*> dispatched;
+  std::vector<SubQuery> live;
   std::string unreachable;
   size_t unreachable_count = 0;
-  for (const SubQuery& sub : plan.subqueries) {
+  for (SubQuery& sub : subqueries) {
     bool any_live = false;
     for (size_t node : ReplicasOrPrimary(sub)) {
       if (!cluster_->IsNodeDown(node)) {
@@ -519,7 +543,7 @@ Result<DistributedResult> QueryService::ExecutePlan(
       }
     }
     if (any_live) {
-      dispatched.push_back(&sub);
+      live.push_back(std::move(sub));
       continue;
     }
     ++unreachable_count;
@@ -540,141 +564,115 @@ Result<DistributedResult> QueryService::ExecutePlan(
   // Fan the live sub-queries out across the executor's worker threads
   // (the response-time *model* stays what it always was; `wall_ms` is
   // what really elapsed).
-  std::vector<SubQuery> live;
-  live.reserve(dispatched.size());
-  for (const SubQuery* sub : dispatched) live.push_back(*sub);
   DispatchOptions dispatch_options;
   dispatch_options.parallelism = options.parallelism;
   dispatch_options.intra_node_parallelism = options.intra_node_parallelism;
   dispatch_options.retry = options.retry;
   dispatch_options.verify_response_digests = options.verify_integrity;
+  dispatch_options.stream_block_items = options.stream_block_items;
   if (options.trace) dispatch_options.tracer = &tracer;
   const double dispatch_start_ms = options.trace ? tracer.NowMs() : 0.0;
   std::vector<SubQueryOutcome> outcomes;
 
   // In-flight result accounting: result bytes held on this coordinator
-  // (streamed staging, materialized partials, the composed answer) are
-  // charged against the governor's pinned consumer until this execution
-  // returns.
+  // (staged lanes, the composed answer) are charged against the
+  // governor's pinned consumer until this execution returns.
   InflightResultCharge inflight(governor_, governor_id_);
 
-  // Streaming compose state, filled by the consumer loop below and read
-  // by the composition switch; untouched on the materialized path.
+  // Workers push fixed-size result blocks into a bounded channel while
+  // this thread drains lanes in plan order and composes incrementally.
+  // Dispatch runs on a dedicated thread so the coordinator thread is free
+  // to consume. Deadlock-freedom: the consumer drains lanes in plan
+  // order, workers claim sub-queries in ascending index order, and the
+  // lane under the consumer's cursor is exempt from the buffer cap (see
+  // stream.h).
+  BlockChannel channel(live.size(), options.stream_buffer_bytes, governor_,
+                       governor_id_);
+  std::thread dispatcher([&] {
+    cluster_->executor().Dispatch(live, dispatch_options, &channel,
+                                  &outcomes);
+  });
+  // Union appends each lane straight into the answer; sum stages each
+  // lane's digits, join each lane's fetched documents. A lane that fails
+  // — possibly mid-stream, after forwarding a prefix — is rolled back,
+  // so it contributes nothing (the commit barrier). TTFB is the first
+  // committed answer byte: under kFail a union block commits as it lands
+  // (a failed lane fails the whole query, so no committed byte can
+  // outlive a lane that later fails), under kReturnPartial a union lane
+  // commits at its clean end, and every other composition has its answer
+  // only at the end of compose. The barrier (streaming off) holds every
+  // answer back until then.
+  const bool barrier = !options.streaming;
+  const bool commit_per_block =
+      !barrier && plan.composition == Composition::kUnion &&
+      options.partial_results == PartialResultPolicy::kFail;
   double ttfb_ms = -1.0;
-  std::string streamed;                 // union: the answer, built in-stream
-  uint64_t streamed_items = 0;
-  std::vector<xdb::QueryResult> staged_lanes;  // sum: digits; join: items
-  std::vector<bool> lane_ok;
-
-  if (options.streaming) {
-    // Streaming pipeline: workers push fixed-size result blocks into a
-    // bounded channel while this thread drains lanes in plan order and
-    // composes incrementally. Dispatch runs on a dedicated thread so the
-    // coordinator thread is free to consume. Deadlock-freedom: the
-    // consumer drains lanes in plan order, workers claim sub-queries in
-    // ascending index order, and the lane under the consumer's cursor is
-    // exempt from the buffer cap (see stream.h).
-    staged_lanes.resize(live.size());
-    lane_ok.assign(live.size(), false);
-    BlockChannel channel(live.size(), options.stream_buffer_bytes,
-                         governor_, governor_id_);
-    dispatch_options.stream = &channel;
-    dispatch_options.stream_block_items = options.stream_block_items;
-    std::thread dispatcher([&] {
-      cluster_->executor().Dispatch(live, dispatch_options, &outcomes);
-    });
-    // Union under kFail appends straight into the answer: any sub-query
-    // failure fails the whole query, so no committed byte can outlive a
-    // lane that later fails. Every other mode stages per lane and commits
-    // only on clean lane end — the commit barrier that keeps a sub-query
-    // which failed over (or failed outright) mid-stream from leaving a
-    // mixed prefix in the answer.
-    const bool direct_union =
-        plan.composition == Composition::kUnion &&
-        options.partial_results == PartialResultPolicy::kFail;
-    bool abort_compose = false;
-    for (size_t i = 0; i < live.size() && !abort_compose; ++i) {
-      std::string staged;
-      uint64_t staged_items = 0;
-      size_t staged_bytes = 0;
-      uint64_t lane_items = 0;
-      bool lane_emitted = false;
-      bool lane_failed = false;
-      for (;;) {
-        xdb::ResultBlock block;
-        Result<bool> more = channel.Pull(i, &block);
-        if (!more.ok()) {
-          lane_failed = true;
+  std::string answer;
+  uint64_t answer_items = 0;
+  std::vector<std::string> lane_text(live.size());
+  std::vector<xquery::Sequence> lane_items(live.size());
+  std::vector<bool> lane_ok(live.size(), false);
+  for (size_t i = 0; i < live.size(); ++i) {
+    const size_t lane_start = answer.size();
+    uint64_t items = 0;
+    for (;;) {
+      xdb::ResultBlock block;
+      Result<bool> more = channel.Pull(i, &block);
+      if (!more.ok() || !*more) {
+        lane_ok[i] = more.ok();
+        break;
+      }
+      const size_t bytes = block.serialized.size();
+      switch (plan.composition) {
+        case Composition::kUnion:
+          items += block.items.size();
+          if (bytes == 0) break;
+          if (answer.size() == lane_start && lane_start > 0) {
+            answer.push_back('\n');
+            inflight.Add(1);
+          }
+          inflight.Add(bytes);
+          answer += block.serialized;
+          if (commit_per_block && ttfb_ms < 0.0) {
+            ttfb_ms = wall_watch.ElapsedMillis();
+          }
           break;
-        }
-        if (!*more) break;
-        const size_t bytes = block.serialized.size();
-        switch (plan.composition) {
-          case Composition::kUnion:
-            if (direct_union) {
-              lane_items += block.items.size();
-              if (bytes > 0) {
-                if (!lane_emitted && !streamed.empty()) {
-                  streamed.push_back('\n');
-                }
-                lane_emitted = true;
-                if (ttfb_ms < 0.0) ttfb_ms = wall_watch.ElapsedMillis();
-                inflight.Add(bytes);
-                streamed += block.serialized;
-              }
-            } else {
-              inflight.Add(bytes);
-              staged_bytes += bytes;
-              staged += block.serialized;
-              staged_items += block.items.size();
-            }
-            break;
-          case Composition::kSumCounts:
-            inflight.Add(bytes);
-            staged_bytes += bytes;
-            staged_lanes[i].serialized += block.serialized;
-            break;
-          case Composition::kJoinReconstruct:
-            // The join consumes items, not bytes; like the materialized
-            // join, the staged item trees are not byte-charged.
-            for (xquery::Item& item : block.items) {
-              staged_lanes[i].items.push_back(std::move(item));
-            }
-            break;
-        }
-      }
-      if (lane_failed) {
-        // Commit barrier: drop everything this lane staged. Under direct
-        // union the whole query fails below, so stop composing.
-        inflight.Release(staged_bytes);
-        staged_lanes[i] = xdb::QueryResult();
-        if (direct_union) abort_compose = true;
-        continue;
-      }
-      lane_ok[i] = true;
-      if (plan.composition == Composition::kUnion) {
-        if (direct_union) {
-          if (lane_emitted) streamed_items += lane_items;
-        } else if (!staged.empty()) {
-          if (!streamed.empty()) streamed.push_back('\n');
-          if (ttfb_ms < 0.0) ttfb_ms = wall_watch.ElapsedMillis();
-          streamed += staged;
-          streamed_items += staged_items;
-        }
-        // An all-empty lane contributes neither bytes nor items, matching
-        // the materialized union.
+        case Composition::kSumCounts:
+          inflight.Add(bytes);
+          lane_text[i] += block.serialized;
+          break;
+        case Composition::kJoinReconstruct:
+          // The join consumes items, not bytes: the staged item trees are
+          // not byte-charged.
+          for (xquery::Item& item : block.items) {
+            lane_items[i].push_back(std::move(item));
+          }
+          break;
       }
     }
-    // Unblock any producers still running (remaining lanes after an
-    // abort, replay tails), then wait for the executor to finish filling
-    // the outcome slots.
-    for (size_t i = 0; i < live.size(); ++i) channel.DrainDiscard(i);
-    dispatcher.join();
-    out.stream_blocks = channel.consumed();
-    dispatch_options.stream = nullptr;  // channel dies with this scope
-  } else {
-    cluster_->executor().Dispatch(live, dispatch_options, &outcomes);
+    if (!lane_ok[i]) {
+      inflight.Release(answer.size() - lane_start + lane_text[i].size());
+      answer.resize(lane_start);
+      lane_text[i].clear();
+      lane_items[i].clear();
+      // Under kFail the query fails below: stop composing.
+      if (options.partial_results == PartialResultPolicy::kFail) break;
+      continue;
+    }
+    // An all-empty union lane contributes neither bytes nor items.
+    if (answer.size() > lane_start) {
+      answer_items += items;
+      if (!barrier && ttfb_ms < 0.0) {
+        ttfb_ms = wall_watch.ElapsedMillis();
+      }
+    }
   }
+  // Unblock any producers still running (remaining lanes after a failure,
+  // replay tails), then wait for the executor to finish filling the
+  // outcome slots.
+  for (size_t i = 0; i < live.size(); ++i) channel.DrainDiscard(i);
+  dispatcher.join();
+  out.stream_blocks = channel.consumed();
   if (options.trace) {
     // Workers filled disjoint outcome slots; assemble them under one
     // dispatch phase span in plan order.
@@ -715,13 +713,13 @@ Result<DistributedResult> QueryService::ExecutePlan(
   StatusCode failure_code = StatusCode::kOk;
   size_t failed = 0;
   for (size_t i = 0; i < outcomes.size(); ++i) {
-    const Result<xdb::QueryResult>& r = outcomes[i].result;
-    if (r.ok()) continue;
+    const Status& status = outcomes[i].status;
+    if (status.ok()) continue;
     ++failed;
-    if (failure_code == StatusCode::kOk) failure_code = r.status().code();
+    if (failure_code == StatusCode::kOk) failure_code = status.code();
     if (!failures.empty()) failures += "; ";
     failures += FragAtNode(live[i].fragment, outcomes[i].node) + ": " +
-                r.status().ToString();
+                status.ToString();
   }
   if (failed > 0) {
     if (options.partial_results == PartialResultPolicy::kFail) {
@@ -732,45 +730,38 @@ Result<DistributedResult> QueryService::ExecutePlan(
                         " sub-queries failed: " + failures);
     }
     for (size_t i = 0; i < outcomes.size(); ++i) {
-      if (!outcomes[i].result.ok()) {
+      if (!outcomes[i].status.ok()) {
         out.missing_fragments.push_back(live[i].fragment);
       }
     }
   }
 
-  std::vector<xdb::QueryResult> partials;
-  partials.reserve(live.size());
   uint64_t total_result_bytes = 0;
   for (size_t i = 0; i < live.size(); ++i) {
-    Result<xdb::QueryResult>& result = outcomes[i].result;
-    if (!result.ok()) continue;
+    const SubQueryOutcome& outcome = outcomes[i];
+    if (!outcome.status.ok()) continue;
     SubQueryStats stats;
     stats.fragment = live[i].fragment;
-    stats.node = outcomes[i].node;
-    stats.elapsed_ms = result->metrics.elapsed_ms;
-    stats.wall_ms = outcomes[i].wall_ms;
-    stats.result_bytes = result->metrics.result_bytes;
-    stats.docs_parsed = result->metrics.docs_parsed;
-    stats.attempts = outcomes[i].attempts;
-    stats.failovers = outcomes[i].failovers;
-    stats.corrupt_responses = outcomes[i].corrupt_responses;
-    stats.engine_requests = outcomes[i].engine_requests;
-    stats.timed_out_attempts = outcomes[i].timed_out_attempts;
-    stats.discarded_successes = outcomes[i].discarded_successes;
-    stats.compile_ms = outcomes[i].compile_ms;
-    stats.plan_cache_hits = outcomes[i].plan_cache_hits;
-    stats.plan_cache_misses = outcomes[i].plan_cache_misses;
-    stats.plan_cache_bytes = result->metrics.plan_cache_bytes;
+    stats.node = outcome.node;
+    stats.elapsed_ms = outcome.metrics.elapsed_ms;
+    stats.wall_ms = outcome.wall_ms;
+    stats.result_bytes = outcome.metrics.result_bytes;
+    stats.docs_parsed = outcome.metrics.docs_parsed;
+    stats.attempts = outcome.attempts;
+    stats.failovers = outcome.failovers;
+    stats.corrupt_responses = outcome.corrupt_responses;
+    stats.engine_requests = outcome.engine_requests;
+    stats.timed_out_attempts = outcome.timed_out_attempts;
+    stats.discarded_successes = outcome.discarded_successes;
+    stats.compile_ms = outcome.compile_ms;
+    stats.plan_cache_hits = outcome.plan_cache_hits;
+    stats.plan_cache_misses = outcome.plan_cache_misses;
+    stats.plan_cache_bytes = outcome.metrics.plan_cache_bytes;
     out.slowest_node_ms = std::max(out.slowest_node_ms, stats.elapsed_ms);
     out.sum_node_ms += stats.elapsed_ms;
     total_result_bytes += stats.result_bytes;
     out.subqueries.push_back(std::move(stats));
-    if (!options.streaming) partials.push_back(std::move(*result));
   }
-  // Materialized path: every partial is now held at once, so charge the
-  // lot; the streaming path charged its (bounded) staging block-by-block
-  // as it consumed the channel.
-  if (!options.streaming) inflight.Add(total_result_bytes);
   if (!out.missing_fragments.empty()) {
     // Report missing fragments in plan order regardless of whether they
     // were skipped (unreachable) or failed after dispatch.
@@ -798,83 +789,40 @@ Result<DistributedResult> QueryService::ExecutePlan(
   Stopwatch compose_watch(clock_);
   const double compose_start_ms = options.trace ? tracer.NowMs() : 0.0;
   switch (plan.composition) {
-    case Composition::kUnion: {
-      if (options.streaming) {
-        // Already composed in-stream; this is the commit of the answer.
-        out.serialized = std::move(streamed);
-        out.result_items = streamed_items;
-        break;
-      }
-      for (xdb::QueryResult& partial : partials) {
-        if (partial.serialized.empty()) continue;
-        if (!out.serialized.empty()) out.serialized.push_back('\n');
-        out.serialized += partial.serialized;
-        out.result_items += partial.metrics.result_items;
-        // A partial drained into the answer no longer needs its own
-        // charge (or its buffer): without this release the peak charge
-        // double-counts every result byte.
-        inflight.Release(partial.serialized.size());
-        std::string().swap(partial.serialized);
-      }
+    case Composition::kUnion:
+      // Composed in-stream; this is the commit of the answer.
+      out.serialized = std::move(answer);
+      out.result_items = answer_items;
       break;
-    }
     case Composition::kSumCounts: {
       double sum = 0.0;
-      if (options.streaming) {
-        for (size_t i = 0; i < staged_lanes.size(); ++i) {
-          if (!lane_ok[i]) continue;
-          double v = 0.0;
-          if (!ParseDouble(staged_lanes[i].serialized, &v)) {
-            return Status::Internal(
-                "sum composition over a non-numeric partial result: '" +
-                staged_lanes[i].serialized + "'");
-          }
-          sum += v;
+      for (size_t i = 0; i < live.size(); ++i) {
+        if (!lane_ok[i]) continue;
+        double v = 0.0;
+        if (!ParseDouble(lane_text[i], &v)) {
+          return Status::Internal(
+              "sum composition over a non-numeric partial result: '" +
+              lane_text[i] + "'");
         }
-      } else {
-        for (xdb::QueryResult& partial : partials) {
-          double v = 0.0;
-          if (!ParseDouble(partial.serialized, &v)) {
-            return Status::Internal(
-                "sum composition over a non-numeric partial result: '" +
-                partial.serialized + "'");
-          }
-          sum += v;
-          inflight.Release(partial.serialized.size());
-        }
+        sum += v;
       }
       out.serialized = FormatNumber(sum);
       out.result_items = 1;
       break;
     }
-    case Composition::kJoinReconstruct: {
-      if (options.streaming) {
-        for (size_t i = 0; i < staged_lanes.size(); ++i) {
-          if (lane_ok[i]) partials.push_back(std::move(staged_lanes[i]));
-        }
-      } else {
-        // The join reads the fetched items, not their serialized bytes:
-        // release those before reconstruction starts allocating.
-        for (xdb::QueryResult& partial : partials) {
-          inflight.Release(partial.serialized.size());
-          std::string().swap(partial.serialized);
-        }
-      }
-      PARTIX_ASSIGN_OR_RETURN(
-          out.serialized,
-          ComposeJoin(plan, std::move(partials), &out.result_items));
+    case Composition::kJoinReconstruct:
+      PARTIX_ASSIGN_OR_RETURN(out.serialized,
+                              ComposeJoin(plan.collection, *original,
+                                          lane_items, &out.result_items));
       break;
-    }
   }
   out.result_bytes = out.serialized.size();
-  // The composed answer is held until this frame returns. Streaming
-  // union already charged its bytes as they were appended.
-  if (!(options.streaming && plan.composition == Composition::kUnion)) {
-    inflight.Add(out.result_bytes);
-  }
+  // The composed answer is held until this frame returns; union charged
+  // its bytes as they were appended.
+  if (plan.composition != Composition::kUnion) inflight.Add(out.result_bytes);
   out.composition_ms = compose_watch.ElapsedMillis();
   counters.compose_ms->Observe(out.composition_ms);
-  // TTFB: streaming union stamps the first committed byte up in the
+  // TTFB: streamed union stamps the first committed byte up in the
   // consumer loop; everywhere else the answer exists only now.
   if (ttfb_ms < 0.0) ttfb_ms = wall_watch.ElapsedMillis();
   out.ttfb_ms = ttfb_ms;

@@ -98,14 +98,13 @@ struct DistributedResult {
   double wall_ms = 0.0;          // measured: real end-to-end wall-clock
   /// Measured time-to-first-byte: from execution start (Execute adds
   /// planning) until the first byte of the answer was available on the
-  /// coordinator. Under the streaming pipeline with union composition
-  /// that is the first committed result block — typically far before the
-  /// slowest node finishes; for other compositions (and the materialized
-  /// ablation) the answer exists only once composition completes, so it
-  /// coincides with the end of compose.
+  /// coordinator. With union composition that is the first committed
+  /// result block — typically far before the slowest node finishes; for
+  /// other compositions (and under the barrier, `streaming == false`)
+  /// the answer exists only once composition completes, so it coincides
+  /// with the end of compose.
   double ttfb_ms = 0.0;
-  /// Result blocks consumed from the streaming channel (0 on the
-  /// materialized path).
+  /// Result blocks consumed from the streaming channel.
   uint64_t stream_blocks = 0;
   size_t parallelism = 1;        // executor workers used for this plan
 
@@ -194,12 +193,14 @@ struct ExecutionOptions {
   /// allocates span nodes on the coordinator and in each worker's outcome
   /// slot; leave off (the default) for benchmark series.
   bool trace = false;
-  /// Batched streaming result pipeline (the default): each node's engine
-  /// emits its result as fixed-size item blocks that flow through a
-  /// bounded coordinator-side channel and compose incrementally, instead
-  /// of materializing every partial before composition starts. The
-  /// composed answer is byte-identical either way; set false for the
-  /// materialize-then-compose ablation.
+  /// Every sub-query streams: each node's engine emits its result as
+  /// fixed-size item blocks that flow through a bounded coordinator-side
+  /// channel and compose incrementally. This flag only decides when the
+  /// answer counts as available. true (the default) commits union blocks
+  /// as they arrive; false is the consumer-side barrier — the same
+  /// pipeline, but every lane is staged and the answer (and TTFB) exists
+  /// only once composition ends. The composed answer is byte-identical
+  /// either way.
   bool streaming = true;
   /// Target items per streamed block (0 falls back to the engine default
   /// of 256). Smaller blocks lower time-to-first-byte; larger blocks
@@ -253,7 +254,10 @@ class QueryService {
                                         ExecutionOptions());
 
   /// Executes a pre-built plan (PartiX's prototype mode: "data location is
-  /// provided along with sub-queries").
+  /// provided along with sub-queries"). Sub-queries (and, for a join, the
+  /// original query) that the plan ships as text only are compiled once
+  /// here; an unparsable one fails the call before anything is
+  /// dispatched.
   Result<DistributedResult> ExecutePlan(const DistributedPlan& plan,
                                         const ExecutionOptions& options =
                                             ExecutionOptions());

@@ -1,5 +1,6 @@
 #include "xquery/parser.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/strings.h"
@@ -141,15 +142,22 @@ class QueryParser {
   // ---- Expression grammar ----
 
   Result<ExprPtr> ParseExprSequence() {
+    ChainDepth chain = BeginChain();
     PARTIX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseExprSingle());
     while (ConsumeChar(',')) {
       PARTIX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseExprSingle());
+      if (!Link(&chain)) return NestingError();
       lhs = MakeExpr(BinaryOp{BinaryOp::Op::kComma, std::move(lhs),
                               std::move(rhs)});
     }
+    EndChain(chain);
     return lhs;
   }
 
+  /// The frame of this production is on the stack once per nesting
+  /// level, so the rarely taken FLWOR, if and quantified productions stay
+  /// out of line (noinline): inlined, their locals would be paid at every
+  /// level, and 512 levels must fit an 8 MiB stack in sanitizer builds.
   Result<ExprPtr> ParseExprSingle() {
     return Nested([this]() -> Result<ExprPtr> {
       SkipWs();
@@ -169,16 +177,46 @@ class QueryParser {
   /// parse error rather than a stack overflow.
   template <typename ParseFn>
   Result<ExprPtr> Nested(ParseFn parse) {
-    if (depth_ >= kMaxDepth) {
-      return Error("query nesting exceeds the supported depth");
-    }
+    if (depth_ >= kMaxDepth) return NestingError();
     ++depth_;
+    peak_ = std::max(peak_, depth_);
     Result<ExprPtr> out = parse();
     --depth_;
     return out;
   }
 
-  Result<ExprPtr> ParseQuantified() {
+  /// Operator chains (`,`, `or`, `and`, additive, multiplicative) parse
+  /// in a loop that Nested never sees, into a left-deep tree: N links over
+  /// operands nested up to D levels make a tree N + D levels deep. So each
+  /// link counts one level against the nesting budget on top of the
+  /// deepest operand (`peak_`), and the chain's full depth carries out to
+  /// whatever encloses it. A chain brackets its loop with BeginChain /
+  /// EndChain and calls Link after each right operand.
+  struct ChainDepth {
+    size_t outer_peak = 0;
+    size_t links = 0;
+  };
+
+  ChainDepth BeginChain() {
+    ChainDepth chain{peak_, 0};
+    peak_ = depth_;
+    return chain;
+  }
+
+  /// Counts one more link; false once the chain outgrows the budget.
+  bool Link(ChainDepth* chain) {
+    return peak_ + ++chain->links <= kMaxDepth;
+  }
+
+  Status NestingError() const {
+    return Error("query nesting exceeds the supported depth");
+  }
+
+  void EndChain(const ChainDepth& chain) {
+    peak_ = std::max(chain.outer_peak, peak_ + chain.links);
+  }
+
+  [[gnu::noinline]] Result<ExprPtr> ParseQuantified() {
     QuantifiedExpr quantified;
     if (ConsumeKeyword("every")) {
       quantified.is_every = true;
@@ -199,7 +237,7 @@ class QueryParser {
     return MakeExpr(std::move(quantified));
   }
 
-  Result<ExprPtr> ParseFlwor() {
+  [[gnu::noinline]] Result<ExprPtr> ParseFlwor() {
     FlworExpr flwor;
     while (true) {
       bool is_let;
@@ -243,7 +281,7 @@ class QueryParser {
     return MakeExpr(std::move(flwor));
   }
 
-  Result<ExprPtr> ParseIf() {
+  [[gnu::noinline]] Result<ExprPtr> ParseIf() {
     if (!ConsumeKeyword("if")) return Error("expected 'if'");
     if (!ConsumeChar('(')) return Error("expected '(' after if");
     PARTIX_ASSIGN_OR_RETURN(ExprPtr cond, ParseExprSequence());
@@ -257,22 +295,28 @@ class QueryParser {
   }
 
   Result<ExprPtr> ParseOr() {
+    ChainDepth chain = BeginChain();
     PARTIX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (ConsumeKeyword("or")) {
       PARTIX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
+      if (!Link(&chain)) return NestingError();
       lhs = MakeExpr(
           BinaryOp{BinaryOp::Op::kOr, std::move(lhs), std::move(rhs)});
     }
+    EndChain(chain);
     return lhs;
   }
 
   Result<ExprPtr> ParseAnd() {
+    ChainDepth chain = BeginChain();
     PARTIX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseComparison());
     while (ConsumeKeyword("and")) {
       PARTIX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseComparison());
+      if (!Link(&chain)) return NestingError();
       lhs = MakeExpr(
           BinaryOp{BinaryOp::Op::kAnd, std::move(lhs), std::move(rhs)});
     }
+    EndChain(chain);
     return lhs;
   }
 
@@ -301,6 +345,7 @@ class QueryParser {
   }
 
   Result<ExprPtr> ParseAdditive() {
+    ChainDepth chain = BeginChain();
     PARTIX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
     while (true) {
       SkipWs();
@@ -310,14 +355,17 @@ class QueryParser {
       } else if (!AtEnd() && Peek() == '-' && ConsumeChar('-')) {
         op = BinaryOp::Op::kSub;
       } else {
+        EndChain(chain);
         return lhs;
       }
       PARTIX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
+      if (!Link(&chain)) return NestingError();
       lhs = MakeExpr(BinaryOp{op, std::move(lhs), std::move(rhs)});
     }
   }
 
   Result<ExprPtr> ParseMultiplicative() {
+    ChainDepth chain = BeginChain();
     PARTIX_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
     while (true) {
       SkipWs();
@@ -329,9 +377,11 @@ class QueryParser {
       } else if (ConsumeKeyword("mod")) {
         op = BinaryOp::Op::kMod;
       } else {
+        EndChain(chain);
         return lhs;
       }
       PARTIX_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
+      if (!Link(&chain)) return NestingError();
       lhs = MakeExpr(BinaryOp{op, std::move(lhs), std::move(rhs)});
     }
   }
@@ -567,12 +617,19 @@ class QueryParser {
   }
 
   /// Maximum nesting depth, as in xml/parser.cc: bounds the stack of
-  /// this descent and of the recursive AST walks downstream.
+  /// this descent and of the recursive AST walks downstream. Operator
+  /// chains count too: each link of a `,`, `or`, `and`, additive or
+  /// multiplicative chain is one level (the chain parses into a
+  /// left-deep tree), so a query may chain and nest at most 512 levels in
+  /// total — a 400-term `1+1+…` evaluates, a 20,000-term one is a parse
+  /// error instead of a stack overflow in the evaluator.
   static constexpr size_t kMaxDepth = 512;
 
   std::string_view text_;
   size_t pos_ = 0;
   size_t depth_ = 0;
+  /// Deepest level the current chain's operands reached (see ChainDepth).
+  size_t peak_ = 0;
 };
 
 }  // namespace

@@ -36,6 +36,7 @@
 #include "workload/queries.h"
 #include "workload/schemas.h"
 #include "xml/name_pool.h"
+#include "xquery/compiled_query.h"
 
 namespace partix {
 namespace {
@@ -248,6 +249,25 @@ TEST(EngineConcurrentTest, ConcurrentExecuteUnderCacheAndGovernorPressure) {
 
 // --- driver reader-writer split ------------------------------------------
 
+/// Runs `query` through the driver's query path — prepare, then drain the
+/// block stream — and returns the serialized answer.
+Result<std::string> QueryThroughDriver(middleware::Driver& driver,
+                                       const std::string& query) {
+  PARTIX_ASSIGN_OR_RETURN(xquery::CompiledQueryPtr compiled,
+                          xquery::CompiledQuery::Compile(query));
+  PARTIX_ASSIGN_OR_RETURN(middleware::PreparedSubQueryPtr prepared,
+                          driver.Prepare(compiled));
+  PARTIX_ASSIGN_OR_RETURN(middleware::SubQueryStreamPtr stream,
+                          driver.ExecutePreparedStream(*prepared));
+  std::string out;
+  for (;;) {
+    xdb::ResultBlock block;
+    PARTIX_ASSIGN_OR_RETURN(const bool more, stream->Next(&block));
+    if (!more) return out;
+    out += block.serialized;
+  }
+}
+
 TEST(DriverConcurrentTest, ConcurrentQueriesWithWriterMakeProgress) {
   middleware::LocalXdbDriver driver("node0");
   ASSERT_TRUE(driver.CreateCollection("items", {}).ok());
@@ -272,12 +292,13 @@ TEST(DriverConcurrentTest, ConcurrentQueriesWithWriterMakeProgress) {
   for (size_t t = 0; t < 4; ++t) {
     readers.emplace_back([&driver, &reader_errors] {
       for (int iter = 0; iter < 25; ++iter) {
-        auto result = driver.Execute("count(collection(\"items\")/Item)");
+        auto result =
+            QueryThroughDriver(driver, "count(collection(\"items\")/Item)");
         if (!result.ok()) {
           ++reader_errors;
           continue;
         }
-        const int count = std::stoi(result->serialized);
+        const int count = std::stoi(*result);
         if (count < 8 || count > 24) ++reader_errors;
         std::this_thread::yield();
       }
@@ -294,9 +315,10 @@ TEST(DriverConcurrentTest, ConcurrentQueriesWithWriterMakeProgress) {
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(reader_errors.load(), 0u);
 
-  auto final_count = driver.Execute("count(collection(\"items\")/Item)");
+  auto final_count =
+      QueryThroughDriver(driver, "count(collection(\"items\")/Item)");
   ASSERT_TRUE(final_count.ok());
-  EXPECT_EQ(final_count->serialized, "24");
+  EXPECT_EQ(*final_count, "24");
 }
 
 // --- middleware identity across fragmentation designs --------------------

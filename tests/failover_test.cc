@@ -16,6 +16,7 @@
 #include "partix/cluster.h"
 #include "partix/publisher.h"
 #include "partix/query_service.h"
+#include "partix/stream.h"
 #include "telemetry/metrics.h"
 
 namespace partix::middleware {
@@ -368,7 +369,12 @@ TEST_F(UnreplicatedFailoverTest, ExpiredDeadlineDiscardsLateSuccess) {
   // ManualClock auto-advance makes this deterministic without sleeping:
   // each clock read advances time 6 ms, so by the time the first attempt
   // is measured, 6 "ms" elapsed against a 10 ms deadline budget of 4 ms.
-  auto plan = service_.decomposer().Decompose(kWorkload[1]);
+  // The f_DVD sub-query has an empty answer, so the attempt forwards no
+  // block and its only late read is the end-of-stream one.
+  auto plan = service_.decomposer().Decompose(
+      "for $i in collection(\"items\")/Item "
+      "where $i/Section = \"DVD\" and $i/Name = \"no such item\" "
+      "return $i/Name");
   ASSERT_TRUE(plan.ok()) << plan.status();
   ASSERT_EQ(plan->subqueries.size(), 1u);
 
@@ -382,17 +388,18 @@ TEST_F(UnreplicatedFailoverTest, ExpiredDeadlineDiscardsLateSuccess) {
   options.retry.base_backoff_ms = 0.0;  // isolate the budget path
   options.retry.subquery_deadline_ms = 10.0;
 
+  BlockChannel channel(plan->subqueries.size(), 0, nullptr, -1);
   std::vector<SubQueryOutcome> outcomes;
-  cluster_.executor().Dispatch(plan->subqueries, options, &outcomes);
+  cluster_.executor().Dispatch(plan->subqueries, options, &channel,
+                               &outcomes);
   cluster_.executor().set_clock(Clock::Monotonic());
 
   ASSERT_EQ(outcomes.size(), 1u);
   const SubQueryOutcome& out = outcomes[0];
-  ASSERT_FALSE(out.result.ok()) << "late success must not be returned";
-  EXPECT_EQ(out.result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_TRUE(Contains(out.result.status().message(),
-                       "sub-query deadline (10"))
-      << out.result.status().message();
+  ASSERT_FALSE(out.status.ok()) << "late success must not be returned";
+  EXPECT_EQ(out.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(Contains(out.status.message(), "sub-query deadline (10"))
+      << out.status.message();
   EXPECT_TRUE(out.timed_out);
   EXPECT_EQ(out.attempts, 1u);
   // The engine really served the discarded attempt — accounting must say

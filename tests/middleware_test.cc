@@ -131,7 +131,7 @@ class HorizontalE2E : public ::testing::Test {
     while ((pos = central_query.find("\"items\"")) != std::string::npos) {
       central_query.replace(pos, 7, "\"items_c\"");
     }
-    auto central = cluster_.node(0).Execute(central_query);
+    auto central = cluster_.database(0).Execute(central_query);
     ASSERT_TRUE(central.ok()) << central_query << ": " << central.status();
     EXPECT_EQ(SortLines(distributed->serialized),
               SortLines(central->serialized))
@@ -269,7 +269,7 @@ class VerticalE2E : public ::testing::Test {
     while ((pos = central_query.find("\"papers\"")) != std::string::npos) {
       central_query.replace(pos, 8, "\"papers_c\"");
     }
-    auto central = cluster_.node(0).Execute(central_query);
+    auto central = cluster_.database(0).Execute(central_query);
     ASSERT_TRUE(central.ok()) << central.status();
     EXPECT_EQ(SortLines(distributed->serialized),
               SortLines(central->serialized))
@@ -371,7 +371,7 @@ class HybridE2E : public ::testing::TestWithParam<HybridMode> {
     while ((pos = central_query.find("\"store\"")) != std::string::npos) {
       central_query.replace(pos, 7, "\"store_c\"");
     }
-    auto central = cluster_.node(0).Execute(central_query);
+    auto central = cluster_.database(0).Execute(central_query);
     ASSERT_TRUE(central.ok()) << central.status();
     EXPECT_EQ(SortLines(distributed->serialized),
               SortLines(central->serialized))
@@ -485,7 +485,7 @@ class VerticalOptionalFragmentE2E : public ::testing::Test {
     while ((pos = central_query.find("\"items\"")) != std::string::npos) {
       central_query.replace(pos, 7, "\"items_c\"");
     }
-    auto central = cluster_.node(0).Execute(central_query);
+    auto central = cluster_.database(0).Execute(central_query);
     ASSERT_TRUE(central.ok()) << central.status();
     EXPECT_EQ(SortLines(distributed->serialized),
               SortLines(central->serialized))

@@ -4,12 +4,13 @@
 //   - engine plan cache: hit/miss/eviction accounting, DDL invalidation,
 //     capacity-0 ablation, parse failures never cached
 //   - prepared-vs-ad-hoc differential: byte-identical answers over every
-//     workload query under every fragmentation design
+//     workload query under every fragmentation design, the ad-hoc plan
+//     compiled at ExecutePlan entry
 //   - executor: one Prepare per (sub-query, node), reused across
 //     fault-injected retries
 //   - parse-once contract: a middleware execution parses on the
 //     coordinator thread exactly once
-//   - concurrency: parallel Prepare/ExecutePrepared through a
+//   - concurrency: parallel Prepare/ExecutePreparedStream through a
 //     LocalXdbDriver (exercised under TSan by scripts/check.sh)
 
 #include <string>
@@ -24,6 +25,7 @@
 #include "partix/cluster.h"
 #include "partix/publisher.h"
 #include "partix/query_service.h"
+#include "partix/stream.h"
 #include "workload/queries.h"
 #include "workload/schemas.h"
 #include "xquery/compiled_query.h"
@@ -215,6 +217,17 @@ TEST_F(DisabledPlanCacheDbTest, CapacityZeroDisablesCaching) {
 
 // --- concurrency through the driver (TSan coverage) ----------------------
 
+/// Concatenates every block `stream` yields.
+Result<std::string> Drain(middleware::SubQueryStream& stream) {
+  std::string out;
+  for (;;) {
+    xdb::ResultBlock block;
+    PARTIX_ASSIGN_OR_RETURN(const bool more, stream.Next(&block));
+    if (!more) return out;
+    out += block.serialized;
+  }
+}
+
 TEST(PlanCacheConcurrencyTest, ConcurrentPrepareAndExecutePrepared) {
   middleware::ClusterSim cluster(1, xdb::DatabaseOptions(),
                                  middleware::NetworkModel());
@@ -237,8 +250,10 @@ TEST(PlanCacheConcurrencyTest, ConcurrentPrepareAndExecutePrepared) {
       for (int i = 0; i < kIters; ++i) {
         auto handle = driver.Prepare(*compiled);
         if (!handle.ok()) continue;
-        auto result = driver.ExecutePrepared(**handle);
-        if (result.ok() && result->serialized == "1") ++ok_counts[t];
+        auto stream = driver.ExecutePreparedStream(**handle);
+        if (!stream.ok()) continue;
+        auto result = Drain(**stream);
+        if (result.ok() && *result == "1") ++ok_counts[t];
       }
     });
   }
@@ -274,18 +289,23 @@ TEST(ExecutorPrepareReuseTest, RetriesReusePreparedHandle) {
   middleware::DispatchOptions options;
   options.retry.max_attempts = 3;
   options.retry.base_backoff_ms = 0.0;
+  middleware::BlockChannel channel(1, 0, nullptr, -1);
   std::vector<middleware::SubQueryOutcome> outcomes;
-  cluster.executor().Dispatch({sub}, options, &outcomes);
+  cluster.executor().Dispatch({sub}, options, &channel, &outcomes);
 
   ASSERT_EQ(outcomes.size(), 1u);
-  ASSERT_TRUE(outcomes[0].result.ok()) << outcomes[0].result.status();
+  ASSERT_TRUE(outcomes[0].status.ok()) << outcomes[0].status;
   EXPECT_EQ(outcomes[0].attempts, 3u);
   // One Prepare served all three attempts: fault recovery never
   // recompiled, and preparation consumed no fault-injection budget.
   EXPECT_EQ(outcomes[0].prepares, 1u);
   EXPECT_EQ(outcomes[0].plan_cache_misses, 1u);
   EXPECT_EQ(outcomes[0].plan_cache_hits, 0u);
-  EXPECT_EQ(outcomes[0].result->serialized, "1");
+  // The answer went through the channel: one block, then a clean end.
+  xdb::ResultBlock block;
+  ASSERT_TRUE(channel.Pull(0, &block).value());
+  EXPECT_EQ(block.serialized, "1");
+  EXPECT_FALSE(channel.Pull(0, &block).value());
 }
 
 // --- middleware differential: prepared vs ad-hoc -------------------------
@@ -368,7 +388,8 @@ TEST_P(PreparedVsAdhocP, ByteIdenticalAnswers) {
     }
 
     // Ad-hoc control: the same plan with every compiled artifact
-    // stripped, forcing the string execution path end to end.
+    // stripped, as a hand-built plan ships it; ExecutePlan compiles it
+    // at entry.
     middleware::DistributedPlan adhoc = *plan;
     adhoc.compiled = nullptr;
     for (middleware::SubQuery& sub : adhoc.subqueries) {
@@ -381,12 +402,12 @@ TEST_P(PreparedVsAdhocP, ByteIdenticalAnswers) {
     ASSERT_TRUE(ad_hoc.ok()) << q.id << ": " << ad_hoc.status();
 
     // Identical plan, identical outcome order, identical composition:
-    // the two paths must agree to the byte.
+    // the two runs must agree to the byte.
     EXPECT_EQ(prepared->serialized, ad_hoc->serialized) << q.id;
     EXPECT_EQ(prepared->result_items, ad_hoc->result_items) << q.id;
 
-    // Every sub-query of the prepared run went through Prepare; both
-    // paths account one cache event per executed sub-query.
+    // Every sub-query of both runs went through Prepare: one cache event
+    // per executed sub-query.
     EXPECT_EQ(prepared->plan_cache_hits + prepared->plan_cache_misses,
               prepared->subqueries.size())
         << q.id;

@@ -371,7 +371,7 @@ TEST_P(WorkloadEquivalenceP, EveryQueryMatchesCentralized) {
       central_query.replace(pos, needle.size(), replacement);
     }
     auto reference =
-        cluster.node(schema.fragments.size()).Execute(central_query);
+        cluster.database(schema.fragments.size()).Execute(central_query);
     ASSERT_TRUE(reference.ok()) << q.id << ": " << reference.status();
     EXPECT_EQ(SortLines(distributed->serialized),
               SortLines(reference->serialized))

@@ -1,8 +1,11 @@
 // Streaming batched result pipeline (docs/streaming-runtime.md):
 //
 //   - identity: every workload query over three fragmentation designs
-//     answers byte-identically with streaming on vs the materialized
-//     ablation, across parallelism levels and block sizes
+//     answers byte-identically with streaming on vs the barrier, across
+//     parallelism levels and block sizes
+//   - node-level reference: every sub-query's drained engine cursor
+//     equals the engine's reference evaluation (ExecutePrepared) at
+//     every block size and morsel parallelism
 //   - stable join reconstruction: fragments sharing a reconstruction id
 //     merge in arrival order (std::stable_sort pin — equal keys must not
 //     permute the merged children)
@@ -13,6 +16,8 @@
 //     contributes nothing — its already-forwarded blocks are dropped
 //   - deadline mid-stream: an expiring deadline leaks zero governor
 //     bytes and conserves the block counters
+//   - attempt budget at end of stream: a stream whose final read lands
+//     past the attempt budget is discarded, not served
 //   - accounting: union composition's peak governed bytes stay near the
 //     answer size (the double-charge regression test)
 
@@ -21,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "gen/virtual_store.h"
 #include "gen/xbench.h"
 #include "gtest/gtest.h"
@@ -122,20 +128,29 @@ const char* const kDvdNamesQuery =
 /// Touches every fragment: a 4-lane union.
 const char* const kAllNamesQuery =
     "for $i in collection(\"items\")/Item return $i/Name";
+/// Prunes to f_DVD like kDvdNamesQuery, but matches no item: the stream
+/// yields no block, only the end-of-stream read.
+const char* const kDvdEmptyQuery =
+    "for $i in collection(\"items\")/Item "
+    "where $i/Section = \"DVD\" and $i/Name = \"no such item\" "
+    "return $i/Name";
 
 // --- identity across fragmentation designs -------------------------------
 
 enum class StreamDesign { kHorizontal, kVertical, kHybrid };
 
-class StreamingIdentityP : public ::testing::TestWithParam<StreamDesign> {};
-
-TEST_P(StreamingIdentityP, StreamingAnswersByteIdenticallyToMaterialized) {
+/// One fragmentation design: the data, its fragmentation schema and the
+/// design's workload queries.
+struct Design {
   xml::Collection data;
   frag::FragmentationSchema schema;
   std::vector<workload::QuerySpec> queries;
-  std::vector<std::string> sections = {"CD", "DVD", "BOOK", "TOY"};
+};
 
-  switch (GetParam()) {
+/// Fills `*out` with `design` (generated data, schema, queries).
+void MakeDesign(StreamDesign design, Design* out) {
+  const std::vector<std::string> sections = {"CD", "DVD", "BOOK", "TOY"};
+  switch (design) {
     case StreamDesign::kHorizontal: {
       gen::ItemsGenOptions options;
       options.doc_count = 36;
@@ -143,11 +158,11 @@ TEST_P(StreamingIdentityP, StreamingAnswersByteIdenticallyToMaterialized) {
       options.sections = sections;
       auto items = gen::GenerateItems(options, nullptr);
       ASSERT_TRUE(items.ok());
-      data = std::move(*items);
+      out->data = std::move(*items);
       auto s = workload::SectionHorizontalSchema("items", sections, 3);
       ASSERT_TRUE(s.ok());
-      schema = std::move(*s);
-      queries = workload::HorizontalQueries("items");
+      out->schema = std::move(*s);
+      out->queries = workload::HorizontalQueries("items");
       break;
     }
     case StreamDesign::kVertical: {
@@ -157,11 +172,11 @@ TEST_P(StreamingIdentityP, StreamingAnswersByteIdenticallyToMaterialized) {
       options.seed = 92;
       auto articles = gen::GenerateArticles(options, nullptr);
       ASSERT_TRUE(articles.ok());
-      data = std::move(*articles);
+      out->data = std::move(*articles);
       auto s = workload::ArticleVerticalSchema("papers");
       ASSERT_TRUE(s.ok());
-      schema = std::move(*s);
-      queries = workload::VerticalQueries("papers");
+      out->schema = std::move(*s);
+      out->queries = workload::VerticalQueries("papers");
       break;
     }
     case StreamDesign::kHybrid: {
@@ -172,45 +187,119 @@ TEST_P(StreamingIdentityP, StreamingAnswersByteIdenticallyToMaterialized) {
       options.large_items = false;
       auto store = gen::GenerateStore(options, nullptr);
       ASSERT_TRUE(store.ok());
-      data = std::move(*store);
+      out->data = std::move(*store);
       auto s = workload::StoreHybridSchema(
           "store", sections, 3, frag::HybridMode::kOneDocPerSubtree);
       ASSERT_TRUE(s.ok());
-      schema = std::move(*s);
-      queries = workload::HybridQueries("store");
+      out->schema = std::move(*s);
+      out->queries = workload::HybridQueries("store");
       break;
     }
   }
+}
+
+/// A cluster with one node per fragment of `design`, ready to publish it.
+struct DesignDeployment {
+  explicit DesignDeployment(const Design& design)
+      : cluster(design.schema.fragments.size(), xdb::DatabaseOptions(),
+                NetworkModel()),
+        publisher(&cluster, &catalog),
+        service(&cluster, &catalog) {}
 
   DistributionCatalog catalog;
-  ClusterSim cluster(schema.fragments.size(), xdb::DatabaseOptions(),
-                     NetworkModel());
-  DataPublisher publisher(&cluster, &catalog);
-  ASSERT_TRUE(publisher.PublishFragmented(data, schema).ok());
-  QueryService service(&cluster, &catalog);
+  ClusterSim cluster;
+  DataPublisher publisher;
+  QueryService service;
+};
 
-  for (const workload::QuerySpec& q : queries) {
-    ExecutionOptions materialized;
-    materialized.streaming = false;
-    auto base = service.Execute(q.text, materialized);
+class StreamingIdentityP : public ::testing::TestWithParam<StreamDesign> {};
+
+TEST_P(StreamingIdentityP, StreamingAnswersByteIdenticallyToBarrier) {
+  Design design;
+  ASSERT_NO_FATAL_FAILURE(MakeDesign(GetParam(), &design));
+  DesignDeployment d(design);
+  ASSERT_TRUE(d.publisher.PublishFragmented(design.data, design.schema).ok());
+  for (const workload::QuerySpec& q : design.queries) {
+    ExecutionOptions barrier;
+    barrier.streaming = false;
+    auto base = d.service.Execute(q.text, barrier);
     ASSERT_TRUE(base.ok()) << q.id << ": " << base.status();
-    EXPECT_EQ(base->stream_blocks, 0u) << q.id;
 
     for (size_t parallelism : {size_t{1}, size_t{0}}) {
       for (size_t block_items : {size_t{3}, size_t{256}}) {
-        ExecutionOptions streaming;
-        streaming.parallelism = parallelism;
-        streaming.stream_block_items = block_items;
-        auto result = service.Execute(q.text, streaming);
-        ASSERT_TRUE(result.ok()) << q.id << ": " << result.status();
-        EXPECT_EQ(result->serialized, base->serialized)
-            << q.id << " at parallelism=" << parallelism
-            << " block_items=" << block_items;
-        EXPECT_EQ(result->result_items, base->result_items) << q.id;
-        if (base->result_items > 0) {
-          EXPECT_GT(result->stream_blocks, 0u) << q.id;
+        for (bool streaming : {true, false}) {
+          ExecutionOptions options;
+          options.streaming = streaming;
+          options.parallelism = parallelism;
+          options.stream_block_items = block_items;
+          auto result = d.service.Execute(q.text, options);
+          ASSERT_TRUE(result.ok()) << q.id << ": " << result.status();
+          EXPECT_EQ(result->serialized, base->serialized)
+              << q.id << " streaming=" << streaming
+              << " at parallelism=" << parallelism
+              << " block_items=" << block_items;
+          EXPECT_EQ(result->result_items, base->result_items) << q.id;
+          if (base->result_items > 0) {
+            EXPECT_GT(result->stream_blocks, 0u) << q.id;
+          }
+          EXPECT_GE(result->ttfb_ms, 0.0) << q.id;
         }
-        EXPECT_GE(result->ttfb_ms, 0.0) << q.id;
+      }
+    }
+  }
+}
+
+TEST_P(StreamingIdentityP, CursorBlocksEqualReferenceEvaluation) {
+  // The node-level oracle under the stream: for every sub-query of every
+  // workload query, the engine cursor drained block by block equals the
+  // engine's reference evaluation (Database::ExecutePrepared) in bytes
+  // and result counters, at every block size and morsel parallelism.
+  Design design;
+  ASSERT_NO_FATAL_FAILURE(MakeDesign(GetParam(), &design));
+  DesignDeployment d(design);
+  ASSERT_TRUE(d.publisher.PublishFragmented(design.data, design.schema).ok());
+  ThreadPool pool(4);
+  for (const workload::QuerySpec& q : design.queries) {
+    auto plan = d.service.decomposer().Decompose(q.text);
+    ASSERT_TRUE(plan.ok()) << q.id << ": " << plan.status();
+    for (const SubQuery& sub : plan->subqueries) {
+      xdb::Database& db = d.cluster.database(sub.node);
+      auto prepared = db.Prepare(sub.compiled);
+      ASSERT_TRUE(prepared.ok()) << q.id << ": " << prepared.status();
+      auto reference = db.ExecutePrepared(*prepared->plan);
+      ASSERT_TRUE(reference.ok()) << q.id << ": " << reference.status();
+
+      for (size_t block_items : {size_t{1}, size_t{3}, size_t{256}}) {
+        for (size_t morsels : {size_t{1}, size_t{4}}) {
+          xdb::ExecParams exec;
+          exec.stream_block_items = block_items;
+          exec.morsel_parallelism = morsels;
+          exec.morsel_pool = &pool;
+          auto cursor = db.ExecutePreparedStream(*prepared->plan, exec);
+          ASSERT_TRUE(cursor.ok()) << q.id << ": " << cursor.status();
+          std::string bytes;
+          uint64_t items = 0;
+          for (;;) {
+            xdb::ResultBlock block;
+            auto more = (*cursor)->Next(&block);
+            ASSERT_TRUE(more.ok()) << q.id << ": " << more.status();
+            if (!*more) break;
+            EXPECT_LE(block.items.size(), block_items) << q.id;
+            items += block.items.size();
+            bytes += block.serialized;
+          }
+          const std::string where = q.id + " " + sub.fragment +
+                                    " block_items=" +
+                                    std::to_string(block_items) +
+                                    " morsels=" + std::to_string(morsels);
+          EXPECT_EQ(bytes, reference->serialized) << where;
+          EXPECT_EQ(items, reference->items.size()) << where;
+          const xdb::QueryMetrics& metrics = (*cursor)->metrics();
+          EXPECT_EQ(metrics.result_items, reference->metrics.result_items)
+              << where;
+          EXPECT_EQ(metrics.result_bytes, reference->metrics.result_bytes)
+              << where;
+        }
       }
     }
   }
@@ -289,17 +378,17 @@ TEST_F(ReplicatedStreamingTest, FailoverMidStreamKeepsAnswerByteIdentical) {
   // executor fails over to the replica on node 2, which re-produces the
   // stream from the start. The channel replay-verifies the committed
   // prefix and drops it, so the forwarded block is never duplicated and
-  // the answer matches the materialized baseline byte-for-byte.
+  // the answer matches a fault-free run byte-for-byte.
+  ExecutionOptions fault_free;
+  fault_free.retry = FastRetry(3);
+  auto base = service_.Execute(kDvdNamesQuery, fault_free);
+  ASSERT_TRUE(base.ok()) << base.status();
+  ASSERT_EQ(base->failovers, 0u);
+  ASSERT_GT(base->result_items, 1u);  // multi-block at block size 1
+
   FaultProfile profile;
   profile.fail_stream_after_blocks = 1;
   cluster_.SetFaultProfile(1, profile);
-
-  ExecutionOptions materialized;
-  materialized.streaming = false;  // unaffected by the stream-only fault
-  materialized.retry = FastRetry(3);
-  auto base = service_.Execute(kDvdNamesQuery, materialized);
-  ASSERT_TRUE(base.ok()) << base.status();
-  ASSERT_GT(base->result_items, 1u);  // multi-block at block size 1
 
   auto& registry = telemetry::MetricsRegistry::Global();
   const bool was_enabled = registry.enabled();
@@ -420,29 +509,89 @@ TEST_F(UnreplicatedStreamingTest, DeadlineMidStreamLeaksNoGovernorBytes) {
   service_.set_memory_governor(nullptr);
 }
 
+// --- attempt budget at end of stream -------------------------------------
+
+TEST_F(UnreplicatedStreamingTest, EmptyStreamEndingPastBudgetIsDiscarded) {
+  // Node 1 stalls 30 ms before every Next(), the end-of-stream one
+  // included. The empty f_DVD answer forwards no block, so the only read
+  // is the end-of-stream one, and it lands past the 10 ms attempt
+  // budget: the attempt must be discarded like any late success.
+  FaultProfile profile;
+  profile.stream_block_stall_ms = 30.0;
+  cluster_.SetFaultProfile(1, profile);
+
+  ExecutionOptions options;
+  options.retry = FastRetry(1);
+  options.retry.attempt_timeout_ms = 10.0;
+  auto failed = service_.Execute(kDvdEmptyQuery, options);
+  ASSERT_FALSE(failed.ok()) << "served after " << failed->wall_ms << " ms";
+  EXPECT_EQ(failed.status().code(), StatusCode::kDeadlineExceeded)
+      << failed.status();
+
+  options.partial_results = PartialResultPolicy::kReturnPartial;
+  auto partial = service_.Execute(kDvdEmptyQuery, options);
+  ASSERT_TRUE(partial.ok()) << partial.status();
+  EXPECT_EQ(partial->missing_fragments, std::vector<std::string>{"f_DVD"});
+  EXPECT_EQ(partial->timed_out_subqueries, 1u);
+  EXPECT_EQ(partial->discarded_successes, 1u);
+  EXPECT_EQ(partial->engine_requests, 1u);
+}
+
+TEST_F(UnreplicatedStreamingTest, StreamEndingPastBudgetIsDiscarded) {
+  // The count's one block arrives after a 30 ms stall, inside the 50 ms
+  // budget; the end-of-stream read stalls 30 ms more and lands past it.
+  // Every block beat the budget, the stream as a whole did not: the
+  // answer must be discarded, not served.
+  FaultProfile profile;
+  profile.stream_block_stall_ms = 30.0;
+  cluster_.SetFaultProfile(1, profile);
+  const char* const count_dvd =
+      "count(collection(\"items\")/Item[Section = \"DVD\"])";
+
+  ExecutionOptions options;
+  options.retry = FastRetry(1);
+  options.retry.attempt_timeout_ms = 50.0;
+  auto failed = service_.Execute(count_dvd, options);
+  ASSERT_FALSE(failed.ok()) << "served '" << failed->serialized << "' "
+                            << "after " << failed->wall_ms << " ms";
+  EXPECT_EQ(failed.status().code(), StatusCode::kDeadlineExceeded)
+      << failed.status();
+
+  options.partial_results = PartialResultPolicy::kReturnPartial;
+  auto partial = service_.Execute(count_dvd, options);
+  ASSERT_TRUE(partial.ok()) << partial.status();
+  EXPECT_EQ(partial->missing_fragments, std::vector<std::string>{"f_DVD"});
+  // The count's block crossed the channel before the late end of stream;
+  // the commit barrier rolls it back with the lane.
+  EXPECT_EQ(partial->serialized, "");
+  EXPECT_EQ(partial->timed_out_subqueries, 1u);
+  EXPECT_EQ(partial->discarded_successes, 1u);
+  EXPECT_EQ(partial->engine_requests, 1u);
+}
+
 // --- union accounting: the double-charge regression ----------------------
 
 TEST_F(UnreplicatedStreamingTest, UnionPeakGovernedBytesStayNearAnswerSize) {
-  // Materialized union used to charge the partials AND the composed
-  // answer without releasing the partials in between: peak ~ 2x the
-  // answer. Post-fix each partial is released as it is appended, so the
-  // peak stays within ~1.5x of the answer; the streaming path is bounded
-  // the same way (incremental answer + a bounded block buffer). Both
-  // paths must end with zero bytes charged.
+  // Union composition once charged the partials AND the composed answer
+  // without releasing the partials in between: peak ~ 2x the answer.
+  // Composing lane by lane charges each byte once, so the peak stays
+  // within ~1.5x of the answer under the barrier and when streaming
+  // (incremental answer + a bounded block buffer). Both modes must end
+  // with zero bytes charged.
   memory::MemoryGovernor governor(size_t{64} << 20);
   service_.set_memory_governor(&governor);
 
-  ExecutionOptions materialized;
-  materialized.streaming = false;
+  ExecutionOptions barrier;
+  barrier.streaming = false;
   governor.ResetPeakCharged();
-  auto base = service_.Execute(kAllNamesQuery, materialized);
+  auto base = service_.Execute(kAllNamesQuery, barrier);
   ASSERT_TRUE(base.ok()) << base.status();
   const size_t answer_bytes = base->result_bytes;
   ASSERT_GT(answer_bytes, 0u);
-  const size_t peak_materialized = governor.peak_charged_bytes();
+  const size_t peak_barrier = governor.peak_charged_bytes();
   EXPECT_EQ(governor.charged_bytes(), 0u);
-  EXPECT_GE(peak_materialized, answer_bytes);
-  EXPECT_LE(peak_materialized, answer_bytes + answer_bytes / 2);
+  EXPECT_GE(peak_barrier, answer_bytes);
+  EXPECT_LE(peak_barrier, answer_bytes + answer_bytes / 2);
 
   governor.ResetPeakCharged();
   ExecutionOptions streaming;

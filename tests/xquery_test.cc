@@ -1,4 +1,6 @@
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "xml/parser.h"
@@ -245,6 +247,57 @@ TEST_F(XQueryEvalTest, NestingWithinTheBoundParsesAndEvaluates) {
   EXPECT_EQ(Run(NestedParens(256)), "1");
   EXPECT_EQ(Run(NestedMinus(256)), "1");
   EXPECT_EQ(Run(NestedCtors(256)), NestedCtors(256));
+}
+
+/// `terms` copies of "1" joined by `op`: an operator chain, which parses
+/// into a left-deep tree `terms - 1` levels deep.
+std::string OperatorChain(const std::string& op, size_t terms) {
+  std::string out = "1";
+  for (size_t i = 1; i < terms; ++i) out += op + "1";
+  return out;
+}
+
+/// One chain per chained operator: `,` (parenthesized), `or`, `and`,
+/// additive and multiplicative.
+std::vector<std::string> OperatorChains(size_t terms) {
+  std::vector<std::string> out = {"(" + OperatorChain(",", terms) + ")"};
+  for (const char* op :
+       {" or ", " and ", "+", "-", "*", " div ", " mod "}) {
+    out.push_back(OperatorChain(op, terms));
+  }
+  return out;
+}
+
+TEST(XQueryParserTest, LongOperatorChainsAreAParseError) {
+  // Each link is one tree level: without counting links, a 20,000-term
+  // chain parses and then overflows the stack in the recursive AST walks.
+  for (const std::string& query : OperatorChains(20000)) {
+    Result<ExprPtr> ast = ParseQuery(query);
+    ASSERT_FALSE(ast.ok()) << query.substr(0, 16);
+    EXPECT_EQ(ast.status().code(), StatusCode::kParseError);
+    EXPECT_NE(ast.status().message().find("nesting"), std::string::npos)
+        << ast.status();
+  }
+  // Chains nested in chains add up: 100 parenthesized levels of 100-term
+  // chains are 10,000 levels deep although each chain alone is short.
+  std::string nested = "1";
+  for (int level = 0; level < 100; ++level) {
+    nested = "(" + nested + ")" + OperatorChain("+", 100).substr(1);
+  }
+  Result<ExprPtr> ast = ParseQuery(nested);
+  ASSERT_FALSE(ast.ok());
+  EXPECT_EQ(ast.status().code(), StatusCode::kParseError);
+}
+
+TEST_F(XQueryEvalTest, OperatorChainsWithinTheBoundParseAndEvaluate) {
+  const std::vector<std::string> chains = OperatorChains(400);
+  const std::vector<std::string> expected = {
+      "400", "true", "true", "400", "-398", "1", "1", "0"};
+  ASSERT_EQ(chains.size(), expected.size());
+  EXPECT_EQ(Run("count(" + chains[0] + ")"), expected[0]);
+  for (size_t i = 1; i < chains.size(); ++i) {
+    EXPECT_EQ(Run(chains[i]), expected[i]) << chains[i].substr(0, 8);
+  }
 }
 
 TEST(XQueryParserTest, CommentsAreSkipped) {
