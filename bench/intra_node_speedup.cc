@@ -12,13 +12,16 @@
 // 1 / 2 / 4 / 8 and reports wall-clock per level. Two gates:
 //
 //   - identity (always): the serialized answer at every morsel level is
-//     byte-identical to the sequential one — a mismatch fails the bench
-//     regardless of mode or host.
+//     byte-identical to the sequential one, and every level >= 2 ran
+//     morsels (an iteration below two morsels' worth of items stays
+//     sequential, which would make the identity check vacuous) — either
+//     failure fails the bench regardless of mode or host.
 //   - speedup (full mode on >= 4-core hosts only): morsels=4 must run the
 //     localized set at least 2x faster than morsels=1.
 //
 // Emits BENCH_intra_node.json to bench-out/. PARTIX_SMOKE=1 shrinks the
-// database and skips the speedup gate (identity still gates);
+// database (to 1 MiB, which keeps every localized fragment above the fork
+// minimum) and skips the speedup gate (identity still gates);
 // PARTIX_SCALE / PARTIX_RUNS scale the full mode.
 
 #include <cstdio>
@@ -46,6 +49,7 @@ struct Cell {
   double wall_ms = 0.0;
   std::string serialized;
   size_t subqueries = 0;
+  uint64_t morsels = 0;  // summed over the sub-queries of one execution
 };
 
 partix::Result<Cell> MeasureCell(partix::workload::Deployment* deployment,
@@ -62,6 +66,7 @@ partix::Result<Cell> MeasureCell(partix::workload::Deployment* deployment,
     if (run == 0) {
       cell.serialized = std::move(result.serialized);
       cell.subqueries = result.subqueries.size();
+      for (const auto& sub : result.subqueries) cell.morsels += sub.morsels;
       continue;  // warm-up: primes node parse caches, not counted
     }
     cell.wall_ms += result.wall_ms;
@@ -78,7 +83,7 @@ int main() {
   const bool smoke = std::getenv("PARTIX_SMOKE") != nullptr;
   const double scale = smoke ? 1.0 : workload::ScaleFromEnv();
   const uint64_t target_bytes = smoke
-                                    ? (uint64_t{256} << 10)
+                                    ? (uint64_t{1} << 20)
                                     : static_cast<uint64_t>(
                                           (uint64_t{8} << 20) * scale);
   const size_t runs = smoke ? 2 : workload::RunsFromEnv(3);
@@ -136,6 +141,7 @@ int main() {
       smoke ? " (smoke)" : "");
 
   bool identical = true;
+  bool forked = true;
   std::vector<std::vector<Cell>> cells;  // [query][morsel-index]
   for (const auto& query : queries) {
     std::vector<Cell> row;
@@ -151,22 +157,28 @@ int main() {
         std::fprintf(stderr, "MISMATCH: %s differs at morsels=%zu\n",
                      query.id.c_str(), m);
       }
+      if (m >= 2 && cell->morsels == 0) {
+        forked = false;
+        std::fprintf(stderr, "NO MORSELS: %s ran sequentially at morsels=%zu\n",
+                     query.id.c_str(), m);
+      }
       row.push_back(std::move(*cell));
     }
     cells.push_back(std::move(row));
   }
 
-  std::printf("%-5s %5s  %12s  %12s  %12s  %12s  %8s\n", "query", "subq",
-              "m=1", "m=2", "m=4", "m=8", "m4 spd");
+  std::printf("%-5s %5s  %12s  %12s  %12s  %12s  %8s  %7s\n", "query",
+              "subq", "m=1", "m=2", "m=4", "m=8", "m4 spd", "morsels");
   double total_m1 = 0.0;
   double total_m4 = 0.0;
   for (size_t q = 0; q < queries.size(); ++q) {
     const std::vector<Cell>& row = cells[q];
-    std::printf("%-5s %5zu  %9.2f ms  %9.2f ms  %9.2f ms  %9.2f ms  %7.2fx\n",
-                queries[q].id.c_str(), row.front().subqueries,
-                row[0].wall_ms, row[1].wall_ms, row[2].wall_ms,
-                row[3].wall_ms,
-                row[2].wall_ms > 0.0 ? row[0].wall_ms / row[2].wall_ms : 0.0);
+    std::printf(
+        "%-5s %5zu  %9.2f ms  %9.2f ms  %9.2f ms  %9.2f ms  %7.2fx  %7llu\n",
+        queries[q].id.c_str(), row.front().subqueries, row[0].wall_ms,
+        row[1].wall_ms, row[2].wall_ms, row[3].wall_ms,
+        row[2].wall_ms > 0.0 ? row[0].wall_ms / row[2].wall_ms : 0.0,
+        static_cast<unsigned long long>(row[2].morsels));
     total_m1 += row[0].wall_ms;
     total_m4 += row[2].wall_ms;
   }
@@ -176,6 +188,7 @@ int main() {
       total_m1, total_m4, speedup_m4);
   std::printf("results byte-identical across morsel levels: %s\n",
               identical ? "yes" : "NO");
+  std::printf("every level >= 2 ran morsels: %s\n", forked ? "yes" : "NO");
 
   std::string json = "{\n  \"queries\": [\n";
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -184,16 +197,21 @@ int main() {
     for (size_t m = 0; m < 4; ++m) {
       json += (m ? ", " : "") + std::to_string(cells[q][m].wall_ms);
     }
+    json += "], \"morsels_run\": [";
+    for (size_t m = 0; m < 4; ++m) {
+      json += (m ? ", " : "") + std::to_string(cells[q][m].morsels);
+    }
     json += "]}";
     json += q + 1 < queries.size() ? ",\n" : "\n";
   }
   json += "  ],\n  \"morsels\": [1, 2, 4, 8],\n  \"speedup_m4\": " +
           std::to_string(speedup_m4) +
           ",\n  \"identical\": " + (identical ? "true" : "false") +
+          ",\n  \"forked\": " + (forked ? "true" : "false") +
           ",\n  \"smoke\": " + (smoke ? "true" : "false") + "\n}\n";
   if (!bench::WriteBenchFile("BENCH_intra_node.json", json)) return 1;
 
-  if (!identical) return 1;
+  if (!identical || !forked) return 1;
   const bool gate_speedup =
       !smoke && std::thread::hardware_concurrency() >= 4;
   if (gate_speedup && speedup_m4 < 2.0) {

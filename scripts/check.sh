@@ -42,14 +42,15 @@ for config in "${configs[@]}"; do
   # --timeout keeps a hung test (deadlock under TSan, runaway retry loop)
   # from stalling CI forever; 300s is ~100x the healthy full-suite time.
   ctest --test-dir "$dir" --output-on-failure -j "$jobs" --timeout 300
-  echo "== ${config}: concurrent scheduler and streaming stress (explicit) =="
+  echo "== ${config}: concurrent scheduler, streaming and morsel stress (explicit) =="
   # Re-run the multi-threaded admission/execution tests by name so a
   # filter change in the suite can never silently drop the concurrency
   # coverage this config (especially thread) exists for. Every sub-query
-  # crosses threads through the streaming BlockChannel, so the streaming
-  # tests are part of that coverage.
+  # crosses threads through the streaming BlockChannel, and its engine
+  # evaluation forks intra-node morsels onto the shared pool by default,
+  # so the streaming and morsel tests are part of that coverage.
   "$dir"/tests/partix_tests \
-    --gtest_filter='*Concurrent*:*Scheduler*:*Fairness*:*Streaming*'
+    --gtest_filter='*Concurrent*:*Scheduler*:*Fairness*:*Streaming*:*Morsel*'
   if [ "$config" = plain ]; then
     echo "== ${config}: memory density smoke =="
     # Gates the memory-governance subsystem: >= 30% fewer allocations per
@@ -58,8 +59,9 @@ for config in "${configs[@]}"; do
     (cd "$dir"/bench && PARTIX_SMOKE=1 ./memory_density)
     echo "== ${config}: intra-node morsel smoke =="
     # Identity gate for intra-node morsel parallelism: localized queries
-    # must answer byte-identically at morsels 1/2/4/8 (the 2x speedup
-    # gate runs only in full mode on multi-core hosts).
+    # must answer byte-identically at morsels 1/2/4/8, and every level
+    # >= 2 must actually run morsels (the 2x speedup gate runs only in
+    # full mode on multi-core hosts).
     (cd "$dir"/bench && PARTIX_SMOKE=1 ./intra_node_speedup)
     echo "== ${config}: streaming TTFB smoke =="
     # Gates the streaming result pipeline: byte-identical answers

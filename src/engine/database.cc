@@ -596,11 +596,13 @@ void Database::FoldExecutionStats(
   metrics.nodes_visited = eval_stats.nodes_visited;
   metrics.index_range_scans = eval_stats.index_range_scans;
   metrics.index_range_hits = eval_stats.index_range_hits;
+  metrics.morsels = eval_stats.morsels;
+  metrics.helper_morsels = eval_stats.helper_morsels;
   if (metrics.index_range_scans > 0) {
     // Evaluator-side label-range scans are structural-index probes too;
     // fold them into the same process-wide counters the planner-side
-    // lookups use. Morsel-chunk stats merge in chunk order before this
-    // point, so the counts equal a single-threaded run's exactly.
+    // lookups use. Per-morsel stats merge before this point, so the
+    // counts equal a single-threaded run's exactly.
     auto& registry = telemetry::MetricsRegistry::Global();
     registry.GetCounter("partix_structural_index_probes_total")
         ->Add(metrics.index_range_scans);
@@ -756,11 +758,11 @@ Result<ResultCursorPtr> Database::ExecutePreparedStream(
     st->evaluator->set_morsel_parallelism(exec.morsel_parallelism,
                                           exec.morsel_pool);
   }
+  if (exec.stream_block_items > 0) st->block_items = exec.stream_block_items;
   Result<xquery::EvalStreamPtr> stream =
-      st->evaluator->OpenStream(prepared.compiled->ast());
+      st->evaluator->OpenStream(prepared.compiled->ast(), st->block_items);
   if (!stream.ok()) return stream.status();  // st's destructor unlocks
   st->stream = std::move(*stream);
-  if (exec.stream_block_items > 0) st->block_items = exec.stream_block_items;
   st->metrics.elapsed_ms += watch.ElapsedMillis();
   return ResultCursorPtr(new ResultCursor(std::move(st)));
 }

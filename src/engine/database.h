@@ -81,12 +81,13 @@ struct CollectionMeta {
 /// runs with any ExecParams).
 struct ExecParams {
   /// Intra-node morsel parallelism: collection-scale iterations inside
-  /// one evaluation are split into up to this many chunks evaluated on
-  /// `morsel_pool`. <= 1 (or a null pool) = sequential evaluation.
-  /// Results are byte-identical either way (see
+  /// one evaluation are split into fixed-size morsels that up to this
+  /// many threads of `morsel_pool` (the calling thread included, and
+  /// never more than the pool has) work through. <= 1 (or a null pool) =
+  /// sequential evaluation. Results are byte-identical either way (see
   /// docs/intra-node-parallelism.md).
   size_t morsel_parallelism = 1;
-  /// The shared worker pool the chunks run on; must outlive the call.
+  /// The shared worker pool the morsels run on; must outlive the call.
   /// The middleware passes the same process-wide pool the scheduler
   /// admission-controls — never a private one (no second pool, no
   /// oversubscription).
@@ -120,6 +121,10 @@ struct QueryMetrics {
   /// they produced (0 when the structural index is disabled).
   uint64_t index_range_scans = 0;
   uint64_t index_range_hits = 0;
+  /// Intra-node morsels the evaluation ran, and how many of them helper
+  /// threads claimed (see xquery::EvalStats; 0 when it ran sequentially).
+  uint64_t morsels = 0;
+  uint64_t helper_morsels = 0;
   uint64_t result_items = 0;
   uint64_t result_bytes = 0;
 };

@@ -198,14 +198,17 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
   out->node = candidates.front();
   Rng rng(MixSeed(retry.seed, index));
 
-  // Intra-node morsels run on the SAME pool this worker occupies; the
-  // engine's coordinator claims chunks itself (help-while-waiting), so a
-  // saturated pool degrades to sequential instead of deadlocking.
+  // Intra-node morsels run on the SAME pool this worker occupies, capped
+  // by its thread count by default; the forking thread claims morsels
+  // itself (help-while-waiting), so a saturated pool degrades to
+  // sequential instead of deadlocking.
   xdb::ExecParams exec;
   exec.stream_block_items = options.stream_block_items;
-  if (options.intra_node_parallelism > 1) {
-    exec.morsel_parallelism = options.intra_node_parallelism;
+  if (options.intra_node_parallelism != 1) {
     exec.morsel_pool = &EffectivePool();
+    exec.morsel_parallelism = options.intra_node_parallelism == 0
+                                  ? exec.morsel_pool->thread_count()
+                                  : options.intra_node_parallelism;
   }
 
   // Compile-once contract: each node is prepared at most once for this
@@ -501,6 +504,13 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
     if (attempt_span != nullptr) {
       attempt_span->duration_ms = tracer->NowMs() - attempt_span->start_ms;
       attempt_span->AddTag("status", StatusCodeName(status.code()));
+      if (status.ok()) {
+        // Whether idle threads drained this lane: morsels it forked, and
+        // how many of them other threads claimed.
+        attempt_span->AddTag("morsels", std::to_string(out->metrics.morsels));
+        attempt_span->AddTag("helper_morsels",
+                             std::to_string(out->metrics.helper_morsels));
+      }
     }
 
     if (status.ok()) {
@@ -576,9 +586,10 @@ double Executor::Dispatch(const std::vector<SubQuery>& subqueries,
   // grown (never shrunk) to serve this dispatch, bounded by
   // max(hardware threads, cluster nodes) — the index-claiming loop below
   // lets a smaller (or busy) pool drain any number of sub-queries.
-  // Intra-node morsels borrow the same threads; growing toward the morsel
-  // count (still under the cap) gives them somewhere to land without a
-  // second pool.
+  // Intra-node morsels borrow the same threads; growing toward an
+  // explicit morsel cap (still under the cap) gives them somewhere to land
+  // without a second pool. The default cap (0, the pool's own size)
+  // grows nothing.
   ThreadPool& pool = EffectivePool();
   pool.EnsureThreads(
       std::min(cap, std::max(workers, options.intra_node_parallelism)));

@@ -68,14 +68,16 @@ struct DispatchOptions {
   /// Caps sub-queries in flight at once: 1 runs them sequentially on the
   /// calling thread, 0 means one worker per sub-query.
   size_t parallelism = 1;
-  /// Morsel parallelism *inside* each node's engine: every dispatched
-  /// sub-query asks its node to split collection-scale iteration into up
-  /// to this many chunks on the same shared worker pool the dispatch
+  /// Morsel parallelism *inside* each node's engine: the cap on threads
+  /// that work through one sub-query's collection-scale iteration, in
+  /// fixed-size morsels on the same shared worker pool the dispatch
   /// itself runs on (no second pool — the scheduler's admission control
-  /// keeps governing total thread demand). 1 (the default) evaluates
-  /// sequentially; results are byte-identical either way. See
-  /// docs/intra-node-parallelism.md.
-  size_t intra_node_parallelism = 1;
+  /// keeps governing total thread demand). 0 (the default) leaves the
+  /// thread count of that pool (EffectivePool) as the only cap and never
+  /// grows it; 1 evaluates sequentially; n > 1 allows n threads and may
+  /// grow the pool toward n like `parallelism` does. Results are
+  /// byte-identical at every setting. See docs/intra-node-parallelism.md.
+  size_t intra_node_parallelism = 0;
   RetryPolicy retry;
   /// End-to-end integrity: recompute each result block's digest and
   /// compare it against the node-stamped `ResultBlock::digest`. A

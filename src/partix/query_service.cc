@@ -459,7 +459,8 @@ Result<std::string> QueryService::ExplainAnalyze(
            (stats.plan_cache_hits > 0 ? "hit" : "miss") + " (" +
            std::to_string(stats.plan_cache_bytes) +
            " bytes cached), compile " + FormatNumber(stats.compile_ms) +
-           " ms\n";
+           " ms, morsels " + std::to_string(stats.morsels) + " (" +
+           std::to_string(stats.helper_morsels) + " by helpers)\n";
   }
   out += telemetry::RenderSpanTree(result.trace);
   return out;
@@ -757,6 +758,8 @@ Result<DistributedResult> QueryService::ExecutePlan(
     stats.plan_cache_hits = outcome.plan_cache_hits;
     stats.plan_cache_misses = outcome.plan_cache_misses;
     stats.plan_cache_bytes = outcome.metrics.plan_cache_bytes;
+    stats.morsels = outcome.metrics.morsels;
+    stats.helper_morsels = outcome.metrics.helper_morsels;
     out.slowest_node_ms = std::max(out.slowest_node_ms, stats.elapsed_ms);
     out.sum_node_ms += stats.elapsed_ms;
     total_result_bytes += stats.result_bytes;

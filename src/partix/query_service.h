@@ -65,6 +65,11 @@ struct SubQueryStats {
   /// Estimated bytes held by the serving node's plan cache after this
   /// sub-query's prepare (see PlanCache::EstimatePlanBytes).
   uint64_t plan_cache_bytes = 0;
+  // --- intra-node morsels (see docs/intra-node-parallelism.md) ---
+  /// Morsels the serving engine ran, and how many of them helper threads
+  /// claimed; both 0 when the sub-query evaluated sequentially.
+  uint64_t morsels = 0;
+  uint64_t helper_morsels = 0;
 };
 
 /// The answer of a distributed execution, with the timing breakdown the
@@ -173,13 +178,16 @@ struct ExecutionOptions {
   /// worker per sub-query. Composition is deterministic: the composed
   /// result is byte-identical across parallelism levels.
   size_t parallelism = 1;
-  /// Morsel parallelism inside each node's engine: sub-queries ask their
-  /// node to evaluate collection-scale iteration in up to this many
-  /// chunks on the shared worker pool. 1 (the default) is sequential;
-  /// results are byte-identical at every level. Composes with
-  /// `parallelism` (cross-node × intra-node) without a second pool —
-  /// see docs/intra-node-parallelism.md.
-  size_t intra_node_parallelism = 1;
+  /// Morsel parallelism inside each node's engine: the cap on threads
+  /// that work through one sub-query's collection-scale iteration in
+  /// fixed-size morsels on the shared worker pool. 0 (the default) caps
+  /// it at that pool's thread count and never grows the pool; 1 is
+  /// sequential; n > 1 caps it at n. Iterations below two morsels' worth
+  /// of items stay sequential at any setting, and results are
+  /// byte-identical at every setting. Composes with `parallelism`
+  /// (cross-node × intra-node) without a second pool — see
+  /// docs/intra-node-parallelism.md.
+  size_t intra_node_parallelism = 0;
   /// Retry/backoff/timeout policy applied to every sub-query.
   RetryPolicy retry;
   /// What to do when sub-queries fail despite retries and failover.

@@ -1,8 +1,9 @@
 #ifndef PARTIX_XML_NAME_POOL_H_
 #define PARTIX_XML_NAME_POOL_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -21,10 +22,12 @@ using NameId = uint32_t;
 /// every document of a database.
 ///
 /// Thread-safe: Intern takes the writer lock (with a reader-locked fast
-/// path for already-interned names), Find/Get/size take reader locks.
-/// Concurrent morsel workers constructing elements and parsing documents
-/// may therefore intern against one shared pool without external
-/// synchronization.
+/// path for already-interned names), Find and size take reader locks, and
+/// Get takes no lock at all. Get runs for every node a path step visits,
+/// so morsel workers of one query would otherwise serialize on the reader
+/// lock's shared counter. Concurrent morsel workers constructing elements
+/// and parsing documents may intern against one shared pool without
+/// external synchronization.
 class NamePool {
  public:
   NamePool() = default;
@@ -37,18 +40,27 @@ class NamePool {
   /// Returns the id for `name` if already interned.
   std::optional<NameId> Find(std::string_view name) const;
 
-  /// Returns the name for `id`. Pre: id < size(). The returned view stays
-  /// valid for the pool's lifetime (names are never removed and their
-  /// storage is address-stable).
+  /// Returns the name for `id`. Pre: id was returned by this pool's
+  /// Intern or Find (or read from a node built against this pool). The
+  /// returned view stays valid for the pool's lifetime (names are never
+  /// removed and their storage is address-stable). Lock-free: see
+  /// `blocks_`.
   std::string_view Get(NameId id) const;
 
   size_t size() const;
 
  private:
-  mutable std::shared_mutex mu_;
-  // deque: element addresses are stable, so the string_view keys in
-  // `index_` (and views handed out by Get) remain valid as the pool grows.
-  std::deque<std::string> names_;
+  mutable std::shared_mutex mu_;  // guards index_, size_ and block growth
+  /// Name storage that never moves: ids fill blocks of doubling size (32
+  /// of them cover every NameId). A block is allocated (under the writer
+  /// lock) before any id in it is handed out, and is never reallocated,
+  /// so Get reads it without a lock. Every id a caller holds came out of
+  /// Intern/Find, or from a document whose nodes were built by one, so
+  /// the block and the name were written before the caller could have
+  /// the id. Other blocks may be written concurrently, but those are
+  /// other objects.
+  std::array<std::unique_ptr<std::string[]>, 32> blocks_;
+  size_t size_ = 0;
   std::unordered_map<std::string_view, NameId> index_;
 };
 

@@ -45,31 +45,21 @@ bool StepMatches(const Document& doc, NodeId n, const xpath::Step& step) {
   return step.wildcard || doc.name(n) == step.name;
 }
 
-/// Splits [0, n) into `chunks` contiguous ranges whose sizes differ by at
-/// most one. Pre: 1 <= chunks <= n.
-std::vector<std::pair<size_t, size_t>> PartitionRanges(size_t n,
-                                                       size_t chunks) {
-  std::vector<std::pair<size_t, size_t>> out;
-  out.reserve(chunks);
-  const size_t base = n / chunks;
-  const size_t rem = n % chunks;
-  size_t begin = 0;
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t len = base + (c < rem ? 1 : 0);
-    out.emplace_back(begin, begin + len);
-    begin += len;
-  }
-  return out;
+/// The items [begin, end) of morsel `m` of an iteration over `size` items.
+std::pair<size_t, size_t> MorselRange(size_t m, size_t size) {
+  const size_t begin = m * Evaluator::kMorselGrain;
+  return {begin, std::min(size, begin + Evaluator::kMorselGrain)};
 }
 
 /// True when the context items are nodes rooting pairwise-disjoint
 /// subtrees in document order: whole documents (each appearing once), or
 /// sealed elements whose [pre, sub_max] label ranges do not overlap. Under
 /// that condition the remaining steps of a path can be evaluated
-/// chunk-by-chunk with byte-identical results — every axis this evaluator
-/// supports (child/descendant/attribute) stays inside the context node's
-/// subtree, so the per-step dedup set never sees a cross-chunk duplicate
-/// and chunk-order concatenation equals the sequential append order.
+/// morsel-by-morsel with byte-identical results — every axis this
+/// evaluator supports (child/descendant/attribute) stays inside the
+/// context node's subtree, so the per-step dedup set never sees a
+/// cross-morsel duplicate and morsel-order concatenation equals the
+/// sequential append order.
 bool DisjointSubtrees(const Sequence& context) {
   // Per document: sub_max of the last accepted subtree (disjoint +
   // ordered iff each next pre is greater).
@@ -96,8 +86,8 @@ bool DisjointSubtrees(const Sequence& context) {
   return true;
 }
 
-/// Seeds a morsel worker's context from the coordinator's at the fork
-/// point: same dynamic environment, forks disabled below.
+/// Seeds a morsel participant's context from the forking context: same
+/// dynamic environment, forks disabled below.
 EvalContext ForkContext(const EvalContext& ctx) {
   EvalContext out;
   out.variables = ctx.variables;
@@ -135,7 +125,8 @@ Result<Sequence> Evaluator::Eval(const Expr& query) {
   return out;
 }
 
-Result<EvalStreamPtr> Evaluator::OpenStream(const Expr& query) const {
+Result<EvalStreamPtr> Evaluator::OpenStream(const Expr& query,
+                                            size_t block_items) const {
   auto stream = EvalStreamPtr(new EvalStream(this, &query));
   stream->ctx_.variables = variables_;
   stream->ctx_.context_stack = context_stack_;
@@ -152,8 +143,11 @@ Result<EvalStreamPtr> Evaluator::OpenStream(const Expr& query) const {
     if (DisjointSubtrees(stream->context_)) {
       stream->lazy_ = true;
       stream->steps_ = &path.steps;
-      // One slice still fans out across the morsel workers when enabled.
-      stream->slice_ = std::max<size_t>(morsels_, 1);
+      // A slice holds whole morsels for every worker, and at least one
+      // consumer block: a slice any smaller would fork for a handful of
+      // items, or not at all.
+      stream->slice_ =
+          std::max(block_items, MorselWorkers() * kMorselGrain);
       return stream;
     }
     // Non-disjoint source: fall through to materialized batches, reusing
@@ -209,33 +203,68 @@ Result<bool> EvalStream::Next(Sequence* out) {
   return false;
 }
 
-void Evaluator::RunMorsels(size_t chunks,
-                           std::function<void(size_t)> run) const {
-  // Shared by the coordinator and the helper tasks; shared_ptr-owned so a
-  // helper that wakes up after the coordinator has already moved on (all
-  // chunks claimed) still touches live memory.
-  struct Shared {
-    Shared(size_t n, std::function<void(size_t)> r)
-        : chunks(n), run(std::move(r)), done(n) {}
-    std::atomic<size_t> next{0};
-    size_t chunks;
-    std::function<void(size_t)> run;
-    Latch done;
+size_t Evaluator::MorselWorkers() const {
+  if (morsel_workers_ <= 1 || morsel_pool_ == nullptr) return 1;
+  return std::min(morsel_workers_, morsel_pool_->thread_count());
+}
+
+void Evaluator::RunMorsels(
+    EvalContext& ctx, size_t morsels,
+    const std::function<void(EvalContext&, size_t)>& run) const {
+  // One slot per participant (0 = the forking thread), cache-line aligned
+  // so participants bumping their own stats never share a line.
+  struct alignas(64) Participant {
+    std::optional<EvalContext> ctx;
   };
-  auto st = std::make_shared<Shared>(chunks, std::move(run));
-  auto drain = [st] {
-    for (size_t c = st->next.fetch_add(1); c < st->chunks;
-         c = st->next.fetch_add(1)) {
-      st->run(c);
-      st->done.CountDown();
+  // Shared by the forking thread and the helper tasks; shared_ptr-owned
+  // so a helper that wakes up after the fork returned (every morsel
+  // claimed) still touches live memory. Such a helper finds the counter
+  // exhausted and never reads `parent` or `run`, which live only as long
+  // as the fork.
+  struct Shared {
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> finished{0};
+    size_t morsels = 0;
+    const EvalContext* parent = nullptr;
+    const std::function<void(EvalContext&, size_t)>* run = nullptr;
+    std::vector<Participant> participants;
+    Latch done{1};
+  };
+  const size_t helpers = std::min(MorselWorkers(), morsels) - 1;
+  auto st = std::make_shared<Shared>();
+  st->morsels = morsels;
+  st->parent = &ctx;
+  st->run = &run;
+  st->participants.resize(helpers + 1);
+  auto drain = [](Shared& shared, size_t p) {
+    for (size_t m = shared.next.fetch_add(1); m < shared.morsels;
+         m = shared.next.fetch_add(1)) {
+      // A claimed morsel keeps the fork open, so `parent` is alive here.
+      std::optional<EvalContext>& mine = shared.participants[p].ctx;
+      if (!mine.has_value()) mine.emplace(ForkContext(*shared.parent));
+      if (p != 0) ++mine->stats.helper_morsels;
+      (*shared.run)(*mine, m);
+      if (shared.finished.fetch_add(1) + 1 == shared.morsels) {
+        shared.done.CountDown();
+      }
     }
   };
-  // Help-while-waiting: the coordinator claims chunks alongside the pool
-  // workers, so even a saturated (or shut-down) pool cannot deadlock the
-  // fork — worst case the coordinator drains every chunk itself.
-  for (size_t i = 1; i < chunks; ++i) morsel_pool_->Submit(drain);
-  drain();
+  // Help-while-waiting: the forking thread claims morsels alongside the
+  // helpers, so even a saturated (or shut-down) pool cannot deadlock the
+  // fork — worst case it drains every morsel itself.
+  for (size_t p = 1; p <= helpers; ++p) {
+    morsel_pool_->Submit([st, p, drain] { drain(*st, p); });
+  }
+  drain(*st, 0);
   st->done.Wait();
+  for (Participant& participant : st->participants) {
+    if (!participant.ctx.has_value()) continue;
+    ctx.stats.Merge(participant.ctx->stats);
+    // Drop the forked environments now, on this thread, rather than with
+    // the last late helper.
+    participant.ctx.reset();
+  }
+  ctx.stats.morsels += morsels;
 }
 
 Result<Sequence> Evaluator::EvalExpr(EvalContext& ctx, const Expr& e) const {
@@ -501,36 +530,25 @@ Result<Sequence> Evaluator::EvalSteps(EvalContext& ctx, Sequence context,
     // Morsel fork: when the context fans out over disjoint subtrees
     // (resolved collection documents, or top-level subtree ranges of one
     // large document via the structural labels), evaluate the remaining
-    // steps chunk-by-chunk on the shared pool. Chunk-order stitching
+    // steps morsel-by-morsel on the shared pool. Morsel-order stitching
     // preserves document order; see DisjointSubtrees for why results are
     // byte-identical to the sequential run.
-    if (MorselsEligible(ctx, current.size()) && DisjointSubtrees(current)) {
-      const size_t chunks = std::min(morsels_, current.size());
-      const auto ranges = PartitionRanges(current.size(), chunks);
-      std::vector<EvalContext> worker_ctx;
-      worker_ctx.reserve(chunks);
-      for (size_t c = 0; c < chunks; ++c) {
-        worker_ctx.push_back(ForkContext(ctx));
-      }
-      std::vector<Result<Sequence>> results(chunks, Sequence{});
-      RunMorsels(chunks, [&](size_t c) {
-        Sequence chunk(current.begin() + ranges[c].first,
-                       current.begin() + ranges[c].second);
-        results[c] =
-            EvalSteps(worker_ctx[c], std::move(chunk), steps, si);
+    if (const size_t morsels = MorselCount(ctx, current.size());
+        morsels > 0 && DisjointSubtrees(current)) {
+      std::vector<Result<Sequence>> results(morsels, Sequence{});
+      RunMorsels(ctx, morsels, [&](EvalContext& mc, size_t m) {
+        const auto [begin, end] = MorselRange(m, current.size());
+        results[m] = EvalSteps(
+            mc, Sequence(current.begin() + begin, current.begin() + end),
+            steps, si);
       });
       Sequence stitched;
-      Status status = Status::Ok();
-      for (size_t c = 0; c < chunks; ++c) {
-        ctx.stats.Merge(worker_ctx[c].stats);
-        if (!status.ok()) continue;
-        if (!results[c].ok()) {
-          status = results[c].status();
-          continue;
-        }
-        for (Item& item : *results[c]) stitched.push_back(std::move(item));
+      for (Result<Sequence>& result : results) {
+        // Morsels cover ascending items, so the first failing morsel holds
+        // the error the sequential run would hit first.
+        PARTIX_RETURN_IF_ERROR(result.status());
+        for (Item& item : *result) stitched.push_back(std::move(item));
       }
-      PARTIX_RETURN_IF_ERROR(status);
       return stitched;
     }
     const AxisStep& axis_step = steps[si];
@@ -697,52 +715,44 @@ Result<Sequence> Evaluator::EvalFlworClauses(
   PARTIX_ASSIGN_OR_RETURN(Sequence binding, EvalExpr(ctx, *clause.expr));
 
   // Morsel fork: a for-clause binds each item independently, so the
-  // binding sequence is partitioned into contiguous chunks whose
-  // tuple expansions run on the shared pool. Chunk-order stitching of the
-  // per-chunk outputs (or order-by buffers) reproduces the sequential
-  // tuple order exactly; per-chunk stats merge in chunk order.
-  if (!clause.is_let && MorselsEligible(ctx, binding.size())) {
-    const size_t chunks = std::min(morsels_, binding.size());
-    const auto ranges = PartitionRanges(binding.size(), chunks);
-    std::vector<EvalContext> worker_ctx;
-    worker_ctx.reserve(chunks);
-    for (size_t c = 0; c < chunks; ++c) {
-      worker_ctx.push_back(ForkContext(ctx));
-    }
-    std::vector<Status> worker_status(chunks, Status::Ok());
-    std::vector<Sequence> worker_out(chunks);
-    std::vector<std::vector<std::pair<Item, Sequence>>> worker_keyed(chunks);
-    RunMorsels(chunks, [&](size_t c) {
-      EvalContext& mc = worker_ctx[c];
-      for (size_t i = ranges[c].first; i < ranges[c].second; ++i) {
+  // binding sequence splits into morsels whose tuple expansions run on
+  // the shared pool. Each morsel collects its output (or order-by
+  // buffer) locally and parks it in its own slot once; morsel-order
+  // stitching reproduces the sequential tuple order exactly.
+  const size_t morsels =
+      clause.is_let ? 0 : MorselCount(ctx, binding.size());
+  if (morsels > 0) {
+    std::vector<Status> morsel_status(morsels, Status::Ok());
+    std::vector<Sequence> morsel_out(morsels);
+    std::vector<std::vector<std::pair<Item, Sequence>>> morsel_keyed(morsels);
+    RunMorsels(ctx, morsels, [&](EvalContext& mc, size_t m) {
+      const auto [begin, end] = MorselRange(m, binding.size());
+      Sequence local_out;
+      std::vector<std::pair<Item, Sequence>> local_keyed;
+      for (size_t i = begin; i < end; ++i) {
         mc.variables[clause.var] = Sequence{binding[i]};
         Result<Sequence> r = EvalFlworClauses(
             mc, flwor, clause_idx + 1,
-            keyed == nullptr ? &worker_out[c] : nullptr,
-            keyed == nullptr ? nullptr : &worker_keyed[c]);
+            keyed == nullptr ? &local_out : nullptr,
+            keyed == nullptr ? nullptr : &local_keyed);
         if (!r.ok()) {
-          worker_status[c] = r.status();
+          morsel_status[m] = r.status();
           break;
         }
       }
+      morsel_out[m] = std::move(local_out);
+      morsel_keyed[m] = std::move(local_keyed);
     });
-    Status status = Status::Ok();
-    for (size_t c = 0; c < chunks; ++c) {
-      ctx.stats.Merge(worker_ctx[c].stats);
-      if (!status.ok()) continue;
-      if (!worker_status[c].ok()) {
-        // Chunks cover ascending binding indexes, so the first failing
-        // chunk holds the same error the sequential run would hit first.
-        status = worker_status[c];
-        continue;
-      }
+    for (size_t m = 0; m < morsels; ++m) {
+      // Morsels cover ascending binding indexes, so the first failing
+      // morsel holds the error the sequential run would hit first.
+      PARTIX_RETURN_IF_ERROR(morsel_status[m]);
       if (keyed == nullptr) {
-        for (Item& item : worker_out[c]) out->push_back(std::move(item));
+        for (Item& item : morsel_out[m]) out->push_back(std::move(item));
       } else {
-        for (auto& kv : worker_keyed[c]) keyed->push_back(std::move(kv));
+        for (auto& kv : morsel_keyed[m]) keyed->push_back(std::move(kv));
       }
     }
-    PARTIX_RETURN_IF_ERROR(status);
     return Sequence{};
   }
 

@@ -67,18 +67,28 @@ struct EvalStats {
   /// these into the partix_structural_index_{probes,hits}_total counters.
   uint64_t index_range_scans = 0;
   uint64_t index_range_hits = 0;
+  /// Morsels run by intra-node forks, and how many of them a helper
+  /// thread claimed rather than the forking thread. `morsels` depends on
+  /// the iteration sizes, the worker count (0 below two workers) and, in
+  /// a lazy path stream, the block size (which sets the slice size), so
+  /// it repeats exactly from run to run when those are fixed;
+  /// `helper_morsels` (<= morsels) depends on which threads were free.
+  uint64_t morsels = 0;
+  uint64_t helper_morsels = 0;
 
   /// Folds another context's counters into this one (field-wise sum).
-  /// Morsel chunks are merged in chunk order, so the total is identical
-  /// to a single-threaded run of the same query — conservation is what
-  /// keeps QueryMetrics and the structural-index telemetry exact under
-  /// intra-node parallelism.
+  /// Every morsel's work is counted in exactly one participant's context,
+  /// so the merged total is identical to a single-threaded run of the
+  /// same query — conservation is what keeps QueryMetrics and the
+  /// structural-index telemetry exact under intra-node parallelism.
   void Merge(const EvalStats& other) {
     nodes_visited += other.nodes_visited;
     collections_resolved += other.collections_resolved;
     elements_constructed += other.elements_constructed;
     index_range_scans += other.index_range_scans;
     index_range_hits += other.index_range_hits;
+    morsels += other.morsels;
+    helper_morsels += other.helper_morsels;
   }
 };
 
@@ -140,16 +150,29 @@ class Evaluator {
   /// it to prove identity.
   void set_use_structural_index(bool v) { use_structural_index_ = v; }
 
+  /// Items per morsel. An iteration forks only when it holds at least
+  /// two morsels' worth of items, so a fork always has work for two
+  /// threads. Sized from the fork cost against the per-item cost: waking
+  /// three idle helpers and forking their contexts costs about 20 us on
+  /// a 4-vCPU guest, and the cheapest per-item work at a fork site (a
+  /// child step from a document node) about 0.3 us, so 64 items keep
+  /// the smallest fork (128 items, ~40 us of work) above its own cost
+  /// while a morsel of the costliest per-item work (~3 us) stays short
+  /// enough for idle threads to even out uneven lanes.
+  static constexpr size_t kMorselGrain = 64;
+
   /// Enables intra-node morsel parallelism: collection-scale iterations
   /// (FLWOR for-clauses and path expressions over whole documents) are
-  /// partitioned into up to `morsels` contiguous chunks evaluated on
-  /// `pool`, with chunk results stitched back in order — results are
-  /// byte-identical to the sequential run. `pool` must outlive Eval();
-  /// pass morsels <= 1 or a null pool to stay sequential. The coordinator
-  /// claims chunks too (help-while-waiting), so a saturated shared pool
+  /// split into kMorselGrain-item morsels that the forking thread and up
+  /// to `workers - 1` helper tasks on `pool` claim from one counter, with
+  /// morsel results stitched back in order — results are byte-identical
+  /// to the sequential run. The workers are further capped by the pool's
+  /// thread count at each fork. `pool` must outlive Eval(); pass
+  /// workers <= 1 or a null pool to stay sequential. The forking thread
+  /// claims morsels too (help-while-waiting), so a saturated shared pool
   /// degrades to sequential instead of deadlocking.
-  void set_morsel_parallelism(size_t morsels, ThreadPool* pool) {
-    morsels_ = morsels;
+  void set_morsel_parallelism(size_t workers, ThreadPool* pool) {
+    morsel_workers_ = workers;
     morsel_pool_ = pool;
   }
 
@@ -161,10 +184,14 @@ class Evaluator {
   /// source whose items root pairwise-disjoint subtrees (the common
   /// collection("...")/step... shape) stream lazily — the remaining steps
   /// run slice-by-slice as the consumer pulls; every other expression
-  /// materializes on the first Next(). The evaluator and `query` must
+  /// materializes on the first Next(). A lazy stream evaluates slices of
+  /// max(`block_items`, workers x kMorselGrain) source items, so a slice
+  /// covers at least one of the consumer's blocks and, with morsels on,
+  /// a whole morsel for every worker. The evaluator and `query` must
   /// outlive the stream; one stream per thread (create, drain, destroy on
   /// the same thread when the resolver is lock-bound, as the engine's is).
-  Result<EvalStreamPtr> OpenStream(const Expr& query) const;
+  Result<EvalStreamPtr> OpenStream(const Expr& query,
+                                   size_t block_items) const;
 
   const EvalStats& stats() const { return stats_; }
 
@@ -214,17 +241,30 @@ class Evaluator {
                       bool literal_text, xml::Document* doc,
                       xml::NodeId parent, bool* last_was_atomic) const;
 
-  /// True when `ctx` may fork a morsel fan-out of >= 2 items here.
-  bool MorselsEligible(const EvalContext& ctx, size_t items) const {
-    return !ctx.in_morsel && morsels_ > 1 && morsel_pool_ != nullptr &&
-           items >= 2;
+  /// Threads that may work on one fork: the configured workers capped by
+  /// the pool's thread count; 1 when morsels are off.
+  size_t MorselWorkers() const;
+
+  /// The number of kMorselGrain-item morsels an iteration over `items`
+  /// forks into at this point, or 0 when it stays sequential: inside a
+  /// morsel, below two morsels' worth of items, or with fewer than two
+  /// workers. The item count is tested first, so small iterations pay
+  /// nothing else.
+  size_t MorselCount(const EvalContext& ctx, size_t items) const {
+    if (ctx.in_morsel || items < 2 * kMorselGrain) return 0;
+    if (MorselWorkers() < 2) return 0;
+    return (items + kMorselGrain - 1) / kMorselGrain;
   }
 
-  /// Runs `run(chunk)` for every chunk in [0, chunks) across the shared
-  /// pool, with the calling thread claiming chunks alongside the workers
-  /// and blocking until all chunks finished. `run` must not throw and must
-  /// confine its writes to per-chunk slots.
-  void RunMorsels(size_t chunks, std::function<void(size_t)> run) const;
+  /// Runs `run(worker_ctx, m)` for every morsel m in [0, morsels): the
+  /// calling thread and up to MorselWorkers() - 1 helper tasks on the
+  /// shared pool claim morsels from one counter, each participant on its
+  /// own context forked from `ctx` on its first claim. Blocks until every
+  /// morsel finished, then merges the participants' stats into `ctx`.
+  /// `run` must not throw and must confine its writes to per-morsel
+  /// slots.
+  void RunMorsels(EvalContext& ctx, size_t morsels,
+                  const std::function<void(EvalContext&, size_t)>& run) const;
 
   CollectionResolver* resolver_;
   std::shared_ptr<xml::NamePool> pool_;
@@ -233,7 +273,7 @@ class Evaluator {
   std::vector<Item> context_stack_;
   EvalStats stats_;
   bool use_structural_index_ = true;
-  size_t morsels_ = 1;
+  size_t morsel_workers_ = 1;
   ThreadPool* morsel_pool_ = nullptr;
 };
 
@@ -246,7 +286,7 @@ class EvalStream {
   /// (cleared first). Returns false at end of stream; an error ends the
   /// stream (identical to what Eval() would have returned for lazily
   /// detectable failures, modulo slice-order error selection — the same
-  /// first-failing-chunk rule morsel forks follow).
+  /// first-failing-morsel rule morsel forks follow).
   Result<bool> Next(Sequence* out);
 
   /// Counters accumulated so far; equal to Eval()'s stats once the stream
@@ -263,7 +303,7 @@ class EvalStream {
   EvalContext ctx_;
   /// Lazy path mode: `context_` holds the evaluated source items (roots
   /// of disjoint subtrees); Next() runs `steps_` over `slice_`-item
-  /// slices from `pos_`.
+  /// slices from `pos_` (see OpenStream for the size).
   bool lazy_ = false;
   Sequence context_;
   size_t pos_ = 0;

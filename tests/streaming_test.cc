@@ -5,7 +5,8 @@
 //     parallelism levels and block sizes
 //   - node-level reference: every sub-query's drained engine cursor
 //     equals the engine's reference evaluation (ExecutePrepared) at
-//     every block size and morsel parallelism
+//     every block size and morsel parallelism, and runs morsels exactly
+//     where the materialized evaluation does
 //   - stable join reconstruction: fragments sharing a reconstruction id
 //     merge in arrival order (std::stable_sort pin — equal keys must not
 //     permute the merged children)
@@ -38,6 +39,7 @@
 #include "telemetry/metrics.h"
 #include "workload/queries.h"
 #include "workload/schemas.h"
+#include "xquery/evaluator.h"
 
 namespace partix::middleware {
 namespace {
@@ -147,13 +149,17 @@ struct Design {
   std::vector<workload::QuerySpec> queries;
 };
 
-/// Fills `*out` with `design` (generated data, schema, queries).
-void MakeDesign(StreamDesign design, Design* out) {
+/// Fills `*out` with `design` (generated data, schema, queries). With
+/// `above_fork_minimum`, every fragment holds more than two intra-node
+/// morsels' worth of documents (or items), so the engine's morsel forks
+/// run; otherwise the data stays small.
+void MakeDesign(StreamDesign design, bool above_fork_minimum, Design* out) {
   const std::vector<std::string> sections = {"CD", "DVD", "BOOK", "TOY"};
+  constexpr size_t kGrain = xquery::Evaluator::kMorselGrain;
   switch (design) {
     case StreamDesign::kHorizontal: {
       gen::ItemsGenOptions options;
-      options.doc_count = 36;
+      options.doc_count = above_fork_minimum ? 14 * kGrain : 36;
       options.seed = 91;
       options.sections = sections;
       auto items = gen::GenerateItems(options, nullptr);
@@ -167,7 +173,7 @@ void MakeDesign(StreamDesign design, Design* out) {
     }
     case StreamDesign::kVertical: {
       gen::XBenchGenOptions options;
-      options.doc_count = 8;
+      options.doc_count = above_fork_minimum ? 2 * kGrain + 12 : 8;
       options.target_doc_bytes = 3000;
       options.seed = 92;
       auto articles = gen::GenerateArticles(options, nullptr);
@@ -181,7 +187,7 @@ void MakeDesign(StreamDesign design, Design* out) {
     }
     case StreamDesign::kHybrid: {
       gen::StoreGenOptions options;
-      options.item_count = 36;
+      options.item_count = above_fork_minimum ? 10 * kGrain : 36;
       options.seed = 93;
       options.sections = sections;
       options.large_items = false;
@@ -216,7 +222,7 @@ class StreamingIdentityP : public ::testing::TestWithParam<StreamDesign> {};
 
 TEST_P(StreamingIdentityP, StreamingAnswersByteIdenticallyToBarrier) {
   Design design;
-  ASSERT_NO_FATAL_FAILURE(MakeDesign(GetParam(), &design));
+  ASSERT_NO_FATAL_FAILURE(MakeDesign(GetParam(), false, &design));
   DesignDeployment d(design);
   ASSERT_TRUE(d.publisher.PublishFragmented(design.data, design.schema).ok());
   for (const workload::QuerySpec& q : design.queries) {
@@ -253,12 +259,15 @@ TEST_P(StreamingIdentityP, CursorBlocksEqualReferenceEvaluation) {
   // The node-level oracle under the stream: for every sub-query of every
   // workload query, the engine cursor drained block by block equals the
   // engine's reference evaluation (Database::ExecutePrepared) in bytes
-  // and result counters, at every block size and morsel parallelism.
+  // and result counters, at every block size and morsel parallelism. The
+  // fragments hold more than two morsels' worth of documents (or items),
+  // so the morsel cells fork wherever a sub-query iterates over them.
   Design design;
-  ASSERT_NO_FATAL_FAILURE(MakeDesign(GetParam(), &design));
+  ASSERT_NO_FATAL_FAILURE(MakeDesign(GetParam(), true, &design));
   DesignDeployment d(design);
   ASSERT_TRUE(d.publisher.PublishFragmented(design.data, design.schema).ok());
   ThreadPool pool(4);
+  size_t forked_subqueries = 0;
   for (const workload::QuerySpec& q : design.queries) {
     auto plan = d.service.decomposer().Decompose(q.text);
     ASSERT_TRUE(plan.ok()) << q.id << ": " << plan.status();
@@ -268,6 +277,17 @@ TEST_P(StreamingIdentityP, CursorBlocksEqualReferenceEvaluation) {
       ASSERT_TRUE(prepared.ok()) << q.id << ": " << prepared.status();
       auto reference = db.ExecutePrepared(*prepared->plan);
       ASSERT_TRUE(reference.ok()) << q.id << ": " << reference.status();
+      // Whether a sub-query has an iteration above the fork minimum does
+      // not depend on how it is drained: a lazy slice holds at least two
+      // morsels' worth of source items, so the stream forks exactly when
+      // the materialized evaluation on four workers does.
+      xdb::ExecParams four_workers;
+      four_workers.morsel_parallelism = 4;
+      four_workers.morsel_pool = &pool;
+      auto morseled = db.ExecutePrepared(*prepared->plan, four_workers);
+      ASSERT_TRUE(morseled.ok()) << q.id << ": " << morseled.status();
+      const bool forks = morseled->metrics.morsels > 0;
+      if (forks) ++forked_subqueries;
 
       for (size_t block_items : {size_t{1}, size_t{3}, size_t{256}}) {
         for (size_t morsels : {size_t{1}, size_t{4}}) {
@@ -299,10 +319,13 @@ TEST_P(StreamingIdentityP, CursorBlocksEqualReferenceEvaluation) {
               << where;
           EXPECT_EQ(metrics.result_bytes, reference->metrics.result_bytes)
               << where;
+          EXPECT_EQ(metrics.morsels > 0, morsels > 1 && forks) << where;
         }
       }
     }
   }
+  // Every design has sub-queries whose morsel cells fork.
+  EXPECT_GT(forked_subqueries, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
