@@ -48,9 +48,11 @@ for config in "${configs[@]}"; do
   # coverage this config (especially thread) exists for. Every sub-query
   # crosses threads through the streaming BlockChannel, and its engine
   # evaluation forks intra-node morsels onto the shared pool by default,
-  # so the streaming and morsel tests are part of that coverage.
+  # so the streaming and morsel tests are part of that coverage. The
+  # structural tests include the concurrent label-range scans over shared
+  # sealed documents.
   "$dir"/tests/partix_tests \
-    --gtest_filter='*Concurrent*:*Scheduler*:*Fairness*:*Streaming*:*Morsel*'
+    --gtest_filter='*Concurrent*:*Scheduler*:*Fairness*:*Streaming*:*Morsel*:*Structural*'
   if [ "$config" = plain ]; then
     echo "== ${config}: memory density smoke =="
     # Gates the memory-governance subsystem: >= 30% fewer allocations per
@@ -63,6 +65,12 @@ for config in "${configs[@]}"; do
     # >= 2 must actually run morsels (the 2x speedup gate runs only in
     # full mode on multi-core hosts).
     (cd "$dir"/bench && PARTIX_SMOKE=1 ./intra_node_speedup)
+    echo "== ${config}: structural join smoke =="
+    # Identity gate for the label index: every query answers
+    # byte-identically with label-range scans on vs off, on the vertical
+    # workload and on the engine-level axis steps, and label-merge
+    # reconstruction equals the value join.
+    (cd "$dir"/bench && PARTIX_SMOKE=1 ./structural_join)
     echo "== ${config}: streaming TTFB smoke =="
     # Gates the streaming result pipeline: byte-identical answers
     # streaming vs the barrier (the same pipeline holding the answer

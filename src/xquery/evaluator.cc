@@ -18,7 +18,6 @@ namespace {
 
 using xml::Document;
 using xml::DocumentPtr;
-using xml::kNullNode;
 using xml::NodeId;
 using xml::NodeKind;
 
@@ -36,13 +35,19 @@ struct NodeKeyHash {
   }
 };
 
-bool StepMatches(const Document& doc, NodeId n, const xpath::Step& step) {
-  if (step.is_attribute) {
-    if (doc.kind(n) != NodeKind::kAttribute) return false;
-  } else {
-    if (doc.kind(n) != NodeKind::kElement) return false;
+/// step.name's id in `pool` (nullopt for wildcards and for names the pool
+/// has not interned), found through the context's StepName cache.
+std::optional<xml::NameId> FindStepName(EvalContext& ctx,
+                                        const xml::NamePool& pool,
+                                        const xpath::Step& step) {
+  if (step.wildcard) return std::nullopt;
+  for (const EvalContext::StepName& known : ctx.step_names) {
+    if (known.step == &step && known.pool == &pool) return known.id;
   }
-  return step.wildcard || doc.name(n) == step.name;
+  const std::optional<xml::NameId> id = pool.Find(step.name);
+  // A miss is not kept: the name may be interned later in this evaluation.
+  if (id) ctx.step_names.push_back({&pool, &step, *id});
+  return id;
 }
 
 /// The items [begin, end) of morsel `m` of an iteration over `size` items.
@@ -93,6 +98,7 @@ EvalContext ForkContext(const EvalContext& ctx) {
   out.variables = ctx.variables;
   out.context_stack = ctx.context_stack;
   out.position_stack = ctx.position_stack;
+  out.step_names = ctx.step_names;
   out.in_morsel = true;
   return out;
 }
@@ -392,10 +398,7 @@ Result<bool> Evaluator::GeneralCompare(BinaryOp::Op op, const Sequence& lhs,
       double a = 0.0;
       double b = 0.0;
       int cmp;
-      bool numeric = (l.IsNumber() || r.IsNumber())
-                         ? (l.TryNumber(&a) && r.TryNumber(&b))
-                         : (l.TryNumber(&a) && r.TryNumber(&b));
-      if (numeric) {
+      if (l.TryNumber(&a) && r.TryNumber(&b)) {
         cmp = a < b ? -1 : (a > b ? 1 : 0);
       } else {
         std::string ls = l.StringValue();
@@ -432,51 +435,21 @@ Result<bool> Evaluator::GeneralCompare(BinaryOp::Op op, const Sequence& lhs,
   return false;
 }
 
-bool Evaluator::MatchStepByLabels(EvalContext& ctx, const DocumentPtr& docp,
-                                  NodeId ctx_node, const xpath::Step& step,
-                                  Sequence* out) const {
-  const Document& doc = *docp;
-  if (!use_structural_index_ || !doc.has_labels()) return false;
-  uint32_t lo_pre = 0;
-  uint32_t hi_pre = 0;
-  uint32_t child_level = 0;  // 0 = no level filter (descendant axis)
-  if (ctx_node == xml::kDocumentNode) {
-    // Whole-document scan, root included. Only the descendant axis goes
-    // through here; the document node's single child is matched directly.
-    if (step.axis != xpath::Axis::kDescendant ||
-        xpath::StaticStepStrategy(step) != xpath::StepStrategy::kLabelRange) {
-      return false;
-    }
-    lo_pre = 0;
-    hi_pre = static_cast<uint32_t>(doc.node_count());
-  } else {
-    if (xpath::ChooseStepStrategy(doc, ctx_node, step) !=
-        xpath::StepStrategy::kLabelRange) {
-      return false;
-    }
-    const xml::NodeLabel& c = doc.label(ctx_node);
-    lo_pre = c.pre + 1;
-    hi_pre = c.sub_max + 1;
-    if (step.axis == xpath::Axis::kChild) child_level = c.level + 1;
+void Evaluator::MatchStep(EvalContext& ctx, const NodeRef& from,
+                          const xpath::Step& step,
+                          std::optional<xml::NameId> name,
+                          Sequence* out) const {
+  std::vector<NodeId>& nodes = ctx.step_matches;
+  nodes.clear();
+  const xpath::StepScan scan = xpath::MatchStep(
+      *from.doc, from.node, step, name, use_structural_index_, &nodes);
+  ctx.stats.nodes_visited += scan.visited;
+  if (scan.label_range) {
+    ++ctx.stats.index_range_scans;
+    ctx.stats.index_range_hits += nodes.size();
   }
-  ++ctx.stats.index_range_scans;
-  const std::optional<xml::NameId> name_id = doc.pool()->Find(step.name);
-  if (!name_id) return true;  // name interned nowhere: empty result
-  const std::vector<uint32_t>* occ = doc.NameOccurrences(*name_id);
-  if (occ == nullptr) return true;
-  auto lo = std::lower_bound(occ->begin(), occ->end(), lo_pre);
-  auto hi = std::lower_bound(lo, occ->end(), hi_pre);
-  const NodeKind want =
-      step.is_attribute ? NodeKind::kAttribute : NodeKind::kElement;
-  for (auto it = lo; it != hi; ++it) {
-    ++ctx.stats.nodes_visited;
-    NodeId n = doc.NodeAtPre(*it);
-    if (doc.kind(n) != want) continue;
-    if (child_level != 0 && doc.label(n).level != child_level) continue;
-    out->push_back(Item(NodeRef{docp, n}));
-    ++ctx.stats.index_range_hits;
-  }
-  return true;
+  out->reserve(out->size() + nodes.size());
+  for (NodeId n : nodes) out->push_back(Item(NodeRef{from.doc, n}));
 }
 
 Result<Sequence> Evaluator::EvalPath(EvalContext& ctx,
@@ -491,33 +464,13 @@ Result<Sequence> Evaluator::EvalPath(EvalContext& ctx,
           "absolute path with no context document");
     }
     const NodeRef& root_ctx = ctx.context_stack.back().AsNode();
-    context.push_back(Item(NodeRef{root_ctx.doc, root_ctx.doc->root()}));
-    // The first step of an absolute path matches the root element itself
-    // (child axis from the virtual document node) or any element
-    // (descendant axis); reuse step evaluation by treating the root as
-    // context and matching step 0 specially.
-    if (path.steps.empty()) return context;
-    const AxisStep& first = path.steps[0];
-    Sequence initial;
-    const Document& doc = *root_ctx.doc;
-    if (first.step.axis == xpath::Axis::kChild) {
-      if (StepMatches(doc, doc.root(), first.step)) {
-        initial.push_back(Item(NodeRef{root_ctx.doc, doc.root()}));
-      }
-    } else if (!MatchStepByLabels(ctx, root_ctx.doc, xml::kDocumentNode,
-                                  first.step, &initial)) {
-      doc.VisitSubtree(doc.root(), [&](NodeId n) {
-        ++ctx.stats.nodes_visited;
-        if (StepMatches(doc, n, first.step)) {
-          initial.push_back(Item(NodeRef{root_ctx.doc, n}));
-        }
-      });
+    if (path.steps.empty()) {
+      context.push_back(Item(NodeRef{root_ctx.doc, root_ctx.doc->root()}));
+      return context;
     }
-    for (const ExprPtr& pred : first.predicates) {
-      PARTIX_ASSIGN_OR_RETURN(
-          initial, ApplyPredicate(ctx, *pred, std::move(initial)));
-    }
-    return EvalSteps(ctx, std::move(initial), path.steps, 1);
+    // The steps start at the virtual document node: a leading child step
+    // matches the root element itself, a leading descendant step any node.
+    context.push_back(Item(NodeRef{root_ctx.doc, xml::kDocumentNode}));
   }
   return EvalSteps(ctx, std::move(context), path.steps, 0);
 }
@@ -552,60 +505,37 @@ Result<Sequence> Evaluator::EvalSteps(EvalContext& ctx, Sequence context,
       return stitched;
     }
     const AxisStep& axis_step = steps[si];
-    Sequence next;
+    // One context node's children and descendants are already distinct;
+    // several context nodes may share matches (nested or repeated
+    // contexts), so only then does the step dedup.
+    const bool dedup = current.size() > 1;
     std::unordered_set<NodeKey, NodeKeyHash> seen;
+    // The step's name id in the pool of the documents at hand, re-found
+    // only when the pool changes from one context item to the next.
+    const xml::NamePool* pool = nullptr;
+    std::optional<xml::NameId> name;
+    Sequence next;
     for (const Item& item : current) {
       if (!item.IsNode()) {
         return Status::InvalidArgument(
             "path step applied to an atomic value");
       }
       const NodeRef& ref = item.AsNode();
-      const Document& doc = *ref.doc;
-      // Collect matches for this context node.
-      Sequence matches;
-      if (ref.node == xml::kDocumentNode) {
-        // The virtual document node: its only child is the root element.
-        if (!doc.empty()) {
-          if (axis_step.step.axis == xpath::Axis::kChild) {
-            ++ctx.stats.nodes_visited;
-            if (StepMatches(doc, doc.root(), axis_step.step)) {
-              matches.push_back(Item(NodeRef{ref.doc, doc.root()}));
-            }
-          } else if (!MatchStepByLabels(ctx, ref.doc, xml::kDocumentNode,
-                                        axis_step.step, &matches)) {
-            doc.VisitSubtree(doc.root(), [&](NodeId n) {
-              ++ctx.stats.nodes_visited;
-              if (StepMatches(doc, n, axis_step.step)) {
-                matches.push_back(Item(NodeRef{ref.doc, n}));
-              }
-            });
-          }
-        }
-      } else if (MatchStepByLabels(ctx, ref.doc, ref.node, axis_step.step,
-                                   &matches)) {
-        // Step answered by a label-range scan; matches already appended
-        // in document order.
-      } else if (axis_step.step.axis == xpath::Axis::kChild) {
-        for (NodeId c = doc.first_child(ref.node); c != kNullNode;
-             c = doc.next_sibling(c)) {
-          ++ctx.stats.nodes_visited;
-          if (StepMatches(doc, c, axis_step.step)) {
-            matches.push_back(Item(NodeRef{ref.doc, c}));
-          }
-        }
-      } else {
-        doc.VisitSubtree(ref.node, [&](NodeId n) {
-          ++ctx.stats.nodes_visited;
-          if (n != ref.node && StepMatches(doc, n, axis_step.step)) {
-            matches.push_back(Item(NodeRef{ref.doc, n}));
-          }
-        });
+      if (ref.doc->pool().get() != pool) {
+        pool = ref.doc->pool().get();
+        name = FindStepName(ctx, *pool, axis_step.step);
       }
+      Sequence matches;
+      MatchStep(ctx, ref, axis_step.step, name, &matches);
       // Apply predicates per context node (XPath positional semantics).
       for (const ExprPtr& pred : axis_step.predicates) {
         PARTIX_ASSIGN_OR_RETURN(
             matches, ApplyPredicate(ctx, *pred, std::move(matches)));
         if (matches.empty()) break;
+      }
+      if (!dedup) {
+        next = std::move(matches);
+        continue;
       }
       for (Item& m : matches) {
         NodeKey key{m.AsNode().doc.get(), m.AsNode().node};
@@ -621,14 +551,14 @@ Result<Sequence> Evaluator::EvalSteps(EvalContext& ctx, Sequence context,
 Result<Sequence> Evaluator::ApplyPredicate(EvalContext& ctx,
                                            const Expr& pred,
                                            Sequence matches) const {
-  // Fast path: a literal number is a positional filter.
+  // Fast path: a literal number is a positional filter. The range test
+  // comes first, so only an in-range number reaches the conversion.
   if (pred.Is<NumberLit>()) {
-    double want = pred.As<NumberLit>().value;
-    size_t idx = static_cast<size_t>(want);
+    const double want = pred.As<NumberLit>().value;
     Sequence out;
-    if (want >= 1 && static_cast<double>(idx) == want &&
-        idx <= matches.size()) {
-      out.push_back(matches[idx - 1]);
+    if (want >= 1 && want <= static_cast<double>(matches.size()) &&
+        want == std::floor(want)) {
+      out.push_back(matches[static_cast<size_t>(want) - 1]);
     }
     return out;
   }
@@ -641,9 +571,10 @@ Result<Sequence> Evaluator::ApplyPredicate(EvalContext& ctx,
     ctx.context_stack.pop_back();
     if (!value.ok()) return value.status();
     const Sequence& v = *value;
-    // A numeric result selects by position.
+    // A numeric result selects by position: only the item whose position
+    // equals it exactly (so fractions, negatives and NaN select nothing).
     if (v.size() == 1 && v[0].IsNumber()) {
-      if (static_cast<size_t>(v[0].AsNumber()) == i + 1) {
+      if (v[0].AsNumber() == static_cast<double>(i + 1)) {
         out.push_back(matches[i]);
       }
       continue;

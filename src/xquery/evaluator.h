@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,8 +64,11 @@ struct EvalStats {
   uint64_t collections_resolved = 0;
   uint64_t elements_constructed = 0;
   /// Axis steps answered by a structural label-range scan instead of tree
-  /// navigation, and the matches those scans produced. The engine folds
-  /// these into the partix_structural_index_{probes,hits}_total counters.
+  /// navigation, and the matches those scans produced. Only contexts of at
+  /// least xpath::kLabelRangeMinSubtree nodes scan (descendant steps, and
+  /// child steps over a sparse name), so on small documents such as the
+  /// 16-node ItemsSHor Items both stay 0. The engine folds these into the
+  /// partix_structural_index_{probes,hits}_total counters.
   uint64_t index_range_scans = 0;
   uint64_t index_range_hits = 0;
   /// Morsels run by intra-node forks, and how many of them a helper
@@ -108,6 +112,23 @@ struct EvalContext {
   /// (one level of intra-node parallelism; nested forks would oversubscribe
   /// the shared pool and could deadlock a fully drained one).
   bool in_morsel = false;
+
+  /// A named step's NameId in one name pool. NamePool::Find takes a reader
+  /// lock and hashes the name, so each (pool, step) pair is found once per
+  /// context and then read from here. Only found ids are kept: a name the
+  /// pool lacks now may be interned later in the same evaluation, by an
+  /// element constructor or a parse. The pool is part of the key because
+  /// one collection may mix pools (join composition serves fetched node
+  /// documents beside joined ones).
+  struct StepName {
+    const xml::NamePool* pool = nullptr;
+    const xpath::Step* step = nullptr;
+    xml::NameId id = 0;
+  };
+  std::vector<StepName> step_names;
+  /// One step's matches for one context node, between xpath::MatchStep
+  /// and their conversion to items (reused to keep its capacity).
+  std::vector<xml::NodeId> step_matches;
 };
 
 class EvalStream;
@@ -227,15 +248,16 @@ class Evaluator {
   Result<Sequence> ApplyPredicate(EvalContext& ctx, const Expr& pred,
                                   Sequence matches) const;
 
-  /// Answers one axis step for one context node via the structural label
-  /// index when the step is index-eligible (see xpath::ChooseStepStrategy):
-  /// appends the matches in document order and returns true, or returns
-  /// false (appending nothing) when the caller must navigate instead.
-  /// `ctx_node == kDocumentNode` scans the whole document including the
-  /// root (descendant axis only).
-  bool MatchStepByLabels(EvalContext& ctx, const xml::DocumentPtr& doc,
-                         xml::NodeId ctx_node, const xpath::Step& step,
-                         Sequence* out) const;
+  /// Appends to `*out`, in document order, the nodes `step` selects from
+  /// the context node `from` (an element, or kDocumentNode for the whole
+  /// document), answered by xpath::MatchStep: navigation on small
+  /// contexts, label-range scans where the subtree is big enough to pay
+  /// (and use_structural_index is on). `name` is step.name's id in the
+  /// document's pool, as ctx.step_names holds it. Counts the nodes
+  /// inspected and any label-range scan in ctx.stats.
+  void MatchStep(EvalContext& ctx, const NodeRef& from,
+                 const xpath::Step& step, std::optional<xml::NameId> name,
+                 Sequence* out) const;
 
   Status BuildContent(EvalContext& ctx, const Sequence& content,
                       bool literal_text, xml::Document* doc,

@@ -9,6 +9,8 @@
 //   - index-backed evaluation is byte-identical to navigational
 //     evaluation across every workload query under every fragmentation
 //     design (DatabaseOptions::enable_structural_index on vs off)
+//   - the size rule: contexts below xpath::kLabelRangeMinSubtree nodes
+//     navigate and larger ones scan labels, with identical answers
 //   - label-merge JoinFragments is byte-identical to the value-join
 //     baseline (JoinFragmentsValueJoin)
 //   - planner: spine level bounds and static step strategies
@@ -55,6 +57,14 @@ using xml::DocumentPtr;
 using xml::kNullNode;
 using xml::NodeId;
 using xml::NodeKind;
+
+/// `count` empty `<name/>` elements: filler that moves a context's
+/// subtree across xpath::kLabelRangeMinSubtree.
+std::string Filler(const std::string& name, size_t count) {
+  std::string out;
+  for (size_t i = 0; i < count; ++i) out += "<" + name + "/>";
+  return out;
+}
 
 xml::DocumentPtr MustParse(const std::shared_ptr<xml::NamePool>& pool,
                            const std::string& name, const std::string& text) {
@@ -259,6 +269,76 @@ TEST(StructuralEvalTest, IndexedAndNavigationalPathsAgree) {
     const std::vector<xml::NodeId> with_index = xpath::EvalPath(*doc, *p, on);
     const std::vector<xml::NodeId> without = xpath::EvalPath(*doc, *p, off);
     EXPECT_EQ(with_index, without) << text;
+  }
+}
+
+// The size rule: contexts below xpath::kLabelRangeMinSubtree nodes
+// navigate; from it on, descendant steps and sparse child names scan
+// labels while dense child names keep the walk. Answers never change.
+TEST(StructuralEvalTest, SizeRuleKeepsAnswersAcrossTheThreshold) {
+  constexpr size_t kT = xpath::kLabelRangeMinSubtree;
+  struct Case {
+    std::string query;
+    std::string expected;  // empty: compared on vs off only
+    bool label_eligible;   // scans once the context is large enough
+    bool from_document;    // context is the whole document (one more node)
+  };
+  const std::string r = "collection(\"c\")/r";
+  const std::string let = "let $r := " + r + " return ";
+  const std::vector<Case> cases = {
+      {r + "/x", "<x/>", true, false},              // child, sparse
+      {r + "/f", "", false, false},                 // child, dense
+      {r + "//x", "<x/>\n<x/>", true, false},       // descendant, sparse
+      {"count(" + r + "//f)", "", true, false},     // descendant, dense
+      {"collection(\"c\")//x", "<x/>\n<x/>", true, true},
+      {let + "count(($r, $r)/x)", "1", true, false},       // duplicates
+      {let + "count(($r, $r/y)//x)", "2", true, false},    // nested
+  };
+  auto pool = std::make_shared<xml::NamePool>();
+  for (size_t descendants : {kT - 1, kT, kT + 1}) {
+    // r's descendants: y, the x inside it, the x child and the fillers.
+    const std::string text =
+        "<r><y><x/></y><x/>" + Filler("f", descendants - 3) + "</r>";
+    xdb::DatabaseOptions on_options;
+    on_options.enable_structural_index = true;
+    xdb::DatabaseOptions off_options;
+    off_options.enable_structural_index = false;
+    xdb::Database on(on_options);
+    xdb::Database off(off_options);
+    for (xdb::Database* db : {&on, &off}) {
+      ASSERT_TRUE(db->CreateCollection("c").ok());
+      ASSERT_TRUE(db->StoreSerialized("c", "d", text).ok());
+    }
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.query + " over " + std::to_string(descendants) +
+                   " descendants");
+      auto with = on.Execute(c.query);
+      auto without = off.Execute(c.query);
+      ASSERT_TRUE(with.ok()) << with.status();
+      ASSERT_TRUE(without.ok()) << without.status();
+      EXPECT_EQ(with->serialized, without->serialized);
+      if (!c.expected.empty()) {
+        EXPECT_EQ(with->serialized, c.expected);
+      }
+      EXPECT_EQ(without->metrics.index_range_scans, 0u);
+      const size_t context = descendants + (c.from_document ? 1 : 0);
+      if (c.label_eligible && context >= kT) {
+        EXPECT_GT(with->metrics.index_range_scans, 0u);
+      } else {
+        EXPECT_EQ(with->metrics.index_range_scans, 0u);
+      }
+    }
+    // The xpath evaluator shares the rule.
+    DocumentPtr doc = MustParse(pool, "d", text);
+    for (const char* path : {"/r/x", "/r/f", "/r//x", "//x", "//f", "/r/y"}) {
+      auto p = xpath::Path::Parse(path);
+      ASSERT_TRUE(p.ok()) << path;
+      xpath::EvalOptions labels_off;
+      labels_off.use_structural_index = false;
+      EXPECT_EQ(xpath::EvalPath(*doc, *p),
+                xpath::EvalPath(*doc, *p, labels_off))
+          << path << " over " << descendants << " descendants";
+    }
   }
 }
 
@@ -577,9 +657,13 @@ TEST(StructuralTelemetryTest, ProbeAndHitCountersAdvance) {
 
   xdb::Database db;
   ASSERT_TRUE(db.CreateCollection("c").ok());
+  // Filler siblings lift the document above the size at which `//Item`
+  // from the document node becomes a label-range scan.
   ASSERT_TRUE(db.StoreSerialized(
                     "c", "d",
-                    "<Store><Item><Name>x</Name></Item></Store>")
+                    "<Store><Item><Name>x</Name></Item>" +
+                        Filler("Other", xpath::kLabelRangeMinSubtree) +
+                        "</Store>")
                   .ok());
   auto result = db.Execute("collection(\"c\")//Item/Name");
   ASSERT_TRUE(result.ok());
@@ -588,6 +672,18 @@ TEST(StructuralTelemetryTest, ProbeAndHitCountersAdvance) {
   EXPECT_GT(result->metrics.index_range_hits, 0u);
   EXPECT_GT(probes->Value(), probes_before);
   EXPECT_GT(hits->Value(), hits_before);
+
+  // The same query over a 4-node document navigates: no scan runs.
+  ASSERT_TRUE(db.CreateCollection("small").ok());
+  ASSERT_TRUE(db.StoreSerialized(
+                    "small", "d",
+                    "<Store><Item><Name>x</Name></Item></Store>")
+                  .ok());
+  auto small = db.Execute("collection(\"small\")//Item/Name");
+  ASSERT_TRUE(small.ok());
+  EXPECT_EQ(small->serialized, "<Name>x</Name>");
+  EXPECT_EQ(small->metrics.index_range_scans, 0u);
+  EXPECT_EQ(small->metrics.index_range_hits, 0u);
 }
 
 // --- concurrency: parallel probes (TSan coverage) ------------------------
@@ -603,10 +699,14 @@ TEST(StructuralIndexConcurrencyTest, ConcurrentIndexProbes) {
   std::vector<DocumentPtr> docs;
   storage::StructuralIndex index;
   for (int i = 0; i < 8; ++i) {
+    // Filler beside the Item keeps Store and Items above the size at
+    // which their steps become label-range scans.
     DocumentPtr doc = MustParse(
         pool, "d" + std::to_string(i),
         "<Store><Items><Item><Code>" + std::to_string(i) +
-            "</Code><Name>n</Name></Item></Items></Store>");
+            "</Code><Name>n</Name></Item>" +
+            Filler("Other", xpath::kLabelRangeMinSubtree) +
+            "</Items></Store>");
     index.AddDocument(static_cast<storage::DocSlot>(i), *doc);
     docs.push_back(doc);
   }
@@ -621,6 +721,12 @@ TEST(StructuralIndexConcurrencyTest, ConcurrentIndexProbes) {
   xpath::EvalOptions on;
   on.use_structural_index = true;
   ASSERT_EQ(xpath::EvalPath(*docs[0], item_path, on).size(), 1u);
+  std::vector<NodeId> items;
+  ASSERT_TRUE(xpath::MatchStep(*docs[0], docs[0]->root(), item_path.steps()[0],
+                               pool->Find("Item"), /*use_labels=*/true,
+                               &items)
+                  .label_range);
+  ASSERT_EQ(items.size(), 1u);
 
   constexpr int kThreads = 4;
   constexpr int kIters = 50;

@@ -123,6 +123,47 @@ TEST_F(XQueryEvalTest, PositionalPredicate) {
   EXPECT_EQ(Run("count(collection(\"one\")/r/x[9])"), "0");
 }
 
+TEST_F(XQueryEvalTest, ComputedNumericPredicateSelectsExactPosition) {
+  const std::string r = "<r><a/><b/><c/></r>";
+  // Whole numbers select the item at that position, literal or computed.
+  EXPECT_EQ(Run(r + "/*[2]"), "<b/>");
+  EXPECT_EQ(Run(r + "/*[last() - 1]"), "<b/>");
+  EXPECT_EQ(Run("let $n := 2 return " + r + "/*[$n]"), "<b/>");
+  // A number that is no position selects nothing: fractions, negatives,
+  // NaN and numbers past the end.
+  EXPECT_EQ(Run(r + "/*[1.5]"), "");
+  EXPECT_EQ(Run(r + "/*[last() - 0.5]"), "");
+  EXPECT_EQ(Run("let $n := 1.5 return " + r + "/*[$n]"), "");
+  EXPECT_EQ(Run(r + "/*[0 - 1]"), "");
+  EXPECT_EQ(Run(r + "/*[-2]"), "");
+  EXPECT_EQ(Run(r + "/*[number(\"x\")]"), "");
+  EXPECT_EQ(Run(r + "/*[99999999999999999999]"), "");
+  EXPECT_EQ(Run(r + "/*[last() + 1]"), "");
+}
+
+TEST_F(XQueryEvalTest, NameInternedMidEvaluationStillMatches) {
+  // The first iteration's step misses `fresh` in the pool; the second
+  // iteration's constructor interns it before the same step runs again.
+  EXPECT_EQ(Run("for $i in (1, 2) return "
+                "(if ($i = 1) then <a/> else <a><fresh/></a>)/fresh"),
+            "<fresh/>");
+}
+
+TEST_F(XQueryEvalTest, StepNamesResolvePerPool) {
+  // One collection, two pools: the second pool interns other names first,
+  // so `a` and `b` carry different NameIds in each.
+  auto other_pool = std::make_shared<xml::NamePool>();
+  for (const char* name : {"x", "y", "z"}) other_pool->Intern(name);
+  auto first = xml::ParseXml(pool_, "first", "<a><b>1</b></a>");
+  auto second = xml::ParseXml(other_pool, "second", "<a><b>2</b></a>");
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_NE(*pool_->Find("b"), *other_pool->Find("b"));
+  resolver_.Add("mixed", *first);
+  resolver_.Add("mixed", *second);
+  EXPECT_EQ(Run("collection(\"mixed\")/a/b"), "<b>1</b>\n<b>2</b>");
+  EXPECT_EQ(Run("collection(\"mixed\")//b"), "<b>1</b>\n<b>2</b>");
+}
+
 TEST_F(XQueryEvalTest, FlworBasics) {
   EXPECT_EQ(Run("for $i in (1, 2, 3) return $i * 2"), "2\n4\n6");
   EXPECT_EQ(Run("let $x := 5 return $x + 1"), "6");
