@@ -65,30 +65,6 @@ std::string_view StripWhitespace(std::string_view s) {
   return s.substr(begin, end - begin);
 }
 
-std::string AsciiLower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
-std::vector<std::string> TokenizeWords(std::string_view text) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char ch : text) {
-    if (std::isalnum(static_cast<unsigned char>(ch))) {
-      cur.push_back(
-          static_cast<char>(std::tolower(static_cast<unsigned char>(ch))));
-    } else if (!cur.empty()) {
-      out.push_back(std::move(cur));
-      cur.clear();
-    }
-  }
-  if (!cur.empty()) out.push_back(std::move(cur));
-  return out;
-}
-
 bool ParseDouble(std::string_view s, double* out) {
   s = StripWhitespace(s);
   if (s.empty()) return false;

@@ -31,13 +31,6 @@ bool Contains(std::string_view haystack, std::string_view needle);
 /// Removes ASCII whitespace from both ends.
 std::string_view StripWhitespace(std::string_view s);
 
-/// Lowercases ASCII characters.
-std::string AsciiLower(std::string_view s);
-
-/// Tokenizes `text` into lowercase alphanumeric word tokens (for the text
-/// index). "Good, CHEAP item-42" -> {"good", "cheap", "item", "42"}.
-std::vector<std::string> TokenizeWords(std::string_view text);
-
 /// Parses a decimal double; returns false on malformed input (the whole
 /// trimmed string must be consumed).
 bool ParseDouble(std::string_view s, double* out);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <unordered_set>
 
@@ -205,9 +204,7 @@ Result<const Database::CollectionState*> Database::GetState(
 
 Status Database::IndexDocument(CollectionState* state, storage::DocSlot slot,
                                const xml::Document& doc) {
-  if (options_.enable_element_index) state->element_index.AddDocument(slot, doc);
-  if (options_.enable_text_index) state->text_index.AddDocument(slot, doc);
-  if (options_.enable_value_index) state->value_index.AddDocument(slot, doc);
+  state->element_index.AddDocument(slot, doc);
   if (options_.enable_structural_index) {
     state->structural_index.AddDocument(slot, doc);
   }
@@ -515,11 +512,9 @@ void Database::PlanCandidates(
         initialized = true;
         if (current.empty()) dead = true;
       };
-      if (options_.enable_element_index) {
-        for (const std::string& elem : site.required_elements) {
-          intersect(state.element_index.Lookup(elem));
-          if (dead) break;
-        }
+      for (const std::string& elem : site.required_elements) {
+        intersect(state.element_index.Lookup(elem));
+        if (dead) break;
       }
       if (!dead && options_.enable_structural_index) {
         // Level-constrained spine pruning: strictly stronger than the
@@ -529,25 +524,6 @@ void Database::PlanCandidates(
           storage::PostingList list = state.structural_index.LookupWithLevel(
               spine.name, spine.min_level, spine.exact_level);
           intersect(&list);
-          if (dead) break;
-        }
-      }
-      if (!dead && options_.enable_text_index &&
-          options_.text_index_accelerates_contains) {
-        for (const std::string& needle : site.contains_needles) {
-          std::optional<storage::PostingList> c =
-              state.text_index.CandidatesForContains(needle);
-          if (c) {
-            storage::PostingList list = std::move(*c);
-            intersect(&list);
-          }
-          if (dead) break;
-        }
-      }
-      if (!dead && options_.enable_value_index) {
-        for (const auto& [elem, value] : site.value_equals) {
-          if (value.size() > storage::ValueIndex::kMaxValueLength) continue;
-          intersect(state.value_index.Lookup(elem, value));
           if (dead) break;
         }
       }

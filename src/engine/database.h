@@ -30,21 +30,7 @@ namespace partix::xdb {
 struct DatabaseOptions {
   /// Parsed-document cache budget per collection (0 disables caching).
   size_t cache_capacity_bytes = size_t{64} << 20;
-  /// Structural index (element names), like eXist's automatic structural
-  /// index.
-  bool enable_element_index = true;
-  /// Full-text index, like eXist's automatic full-text index.
-  bool enable_text_index = true;
-  /// Use the full-text index to prune fn:contains() scans. OFF by default
-  /// for fidelity to the paper's substrate: eXist's fn:contains() is a
-  /// plain substring function, not index-assisted (only its proprietary
-  /// text operators used the index). Turning this on is the "modern
-  /// engine" ablation.
-  bool text_index_accelerates_contains = false;
-  /// Exact-value index on simple-content elements. OFF by default: the
-  /// paper configured no value indexes ("No other indexes were created").
-  bool enable_value_index = false;
-  /// Structural label index (XISS/R-style (pre, post, level) intervals,
+  /// Structural label index (XISS/R-style (pre, sub_max, level) intervals,
   /// see docs/structural-index.md): prunes candidate documents by
   /// occurrence level and lets the evaluators answer descendant/child
   /// steps as label-range scans instead of tree walks. Results are
@@ -337,8 +323,6 @@ class Database {
     CollectionMeta meta;
     std::unique_ptr<storage::DocumentStore> store;
     storage::ElementIndex element_index;
-    storage::TextIndex text_index;
-    storage::ValueIndex value_index;
     storage::StructuralIndex structural_index;
     /// Guarded by stats_mu for RecordAccess (concurrent shared-lock
     /// queries fold their access deltas in); AddDocument runs under the

@@ -84,6 +84,17 @@ struct StructEntry {
   uint64_t checksum = 0;
 };
 
+/// Closes `out` after its last write. A stream that failed to open, to
+/// write or to flush on close (a full disk) yields an error naming `file`.
+Status CloseChecked(std::ofstream* out, const std::string& dir,
+                    const std::string& file) {
+  out->close();
+  if (out->fail()) {
+    return Status::Internal("cannot write '" + file + "' in '" + dir + "'");
+  }
+  return Status::Ok();
+}
+
 bool ParseU64(std::string_view s, int base, uint64_t* out) {
   if (s.empty()) return false;
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out, base);
@@ -100,15 +111,31 @@ uint64_t StructuralLabelChecksum(const xml::Document& doc) {
       h *= 1099511628211ull;  // FNV-1a prime
     }
   };
+  // Each node contributes its postorder rank and its root path: the
+  // 1-based position of every ancestor-or-self among all children of its
+  // parent (attributes and text count), root first, the root's being 1.
+  // Neither is stored; deriving both keeps the values STRUCT files have
+  // always recorded.
+  std::vector<uint32_t> ordinal(doc.node_count(), 1);
+  for (xml::NodeId n = 0; n < doc.node_count(); ++n) {
+    uint32_t k = 0;
+    for (xml::NodeId c = doc.first_child(n); c != xml::kNullNode;
+         c = doc.next_sibling(c)) {
+      ordinal[c] = ++k;
+    }
+  }
+  std::vector<uint32_t> path;  // leaf first
   for (xml::NodeId n = 0; n < doc.node_count(); ++n) {
     const xml::NodeLabel& l = doc.label(n);
     mix(l.pre);
-    mix(l.post);
+    mix(l.sub_max + 1 - l.level);  // postorder rank
     mix(l.sub_max);
     mix(l.level);
-    uint32_t len = 0;
-    const uint32_t* components = doc.dewey(n, &len);
-    for (uint32_t i = 0; i < len; ++i) mix(components[i]);
+    path.clear();
+    for (xml::NodeId a = n; a != xml::kNullNode; a = doc.parent(a)) {
+      path.push_back(ordinal[a]);
+    }
+    for (auto it = path.rbegin(); it != path.rend(); ++it) mix(*it);
   }
   return h;
 }
@@ -140,11 +167,8 @@ Status ExportCollection(Database& db, const std::string& collection,
     char file[32];
     std::snprintf(file, sizeof(file), "%06zu.xml", index++);
     std::ofstream out(fs::path(dir) / file);
-    if (!out) {
-      return Status::Internal(std::string("cannot write '") + file + "'");
-    }
     out << xml::Serialize(*doc);
-    out.close();
+    PARTIX_RETURN_IF_ERROR(CloseChecked(&out, dir, file));
     std::string meta_field;
     for (const auto& [key, value] : doc->metadata()) {
       if (!meta_field.empty()) meta_field += ";";
@@ -165,7 +189,8 @@ Status ExportCollection(Database& db, const std::string& collection,
               << '\t' << checksum << '\n';
     }
   }
-  return Status::Ok();
+  PARTIX_RETURN_IF_ERROR(CloseChecked(&manifest, dir, "MANIFEST"));
+  return CloseChecked(&structs, dir, "STRUCT");
 }
 
 Status ImportCollection(Database& db, const std::string& collection,

@@ -42,8 +42,11 @@ Status ImportCollection(Database& db, const std::string& collection,
                         CollectionMeta meta = CollectionMeta());
 
 /// FNV-1a digest of a document's structural label stream — every node's
-/// (pre, post, sub_max, level) plus its Dewey components, in node order.
-/// What STRUCT records per document. Pre: doc.has_labels().
+/// (pre, post, sub_max, level) plus its root path (each ancestor-or-self's
+/// 1-based position among its parent's children, root first), in node
+/// order. post (= sub_max - level + 1) and the path are derived from the
+/// stored labels and the tree. What STRUCT records per document.
+/// Pre: doc.has_labels().
 uint64_t StructuralLabelChecksum(const xml::Document& doc);
 
 }  // namespace partix::xdb

@@ -49,12 +49,6 @@ size_t PlanCache::EstimatePlanBytes(const std::string& text,
       for (const SpineLevel& s : site.spine_levels) {
         bytes += sizeof(SpineLevel) + s.name.size();
       }
-      bytes += site.step_strategies.size() *
-               sizeof(site.step_strategies[0]);
-      for (const std::string& n : site.contains_needles) bytes += n.size();
-      for (const auto& [e, v] : site.value_equals) {
-        bytes += e.size() + v.size() + 2 * sizeof(std::string);
-      }
     }
   }
   return bytes;

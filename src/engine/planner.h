@@ -4,10 +4,8 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "xpath/path.h"
 #include "xquery/ast.h"
 
 namespace partix::xdb {
@@ -35,27 +33,13 @@ struct SpineLevel {
 /// a superset of the true matches; evaluation still verifies.
 struct SiteConstraints {
   /// Element/attribute names on the path spine and in conjunctive
-  /// predicates (checked against the structural index).
+  /// predicates (checked against the element index).
   std::vector<std::string> required_elements;
 
   /// Spine names with level bounds (checked against the structural label
   /// index when enabled; a strictly stronger version of the spine subset
   /// of `required_elements`).
   std::vector<SpineLevel> spine_levels;
-
-  /// The planner's static evaluation strategy for each trailing step of
-  /// the site's path, in step order (see xpath::StaticStepStrategy);
-  /// kDynamic entries are resolved per document at evaluation time.
-  std::vector<xpath::StepStrategy> step_strategies;
-
-  /// Literal needles of conjunctive contains() predicates (checked against
-  /// the full-text index).
-  std::vector<std::string> contains_needles;
-
-  /// (element name, literal value) pairs from conjunctive equality
-  /// predicates on simple-content elements (checked against the value
-  /// index).
-  std::vector<std::pair<std::string, std::string>> value_equals;
 
   /// True when this call site gives no exploitable constraint; the whole
   /// collection must be considered.

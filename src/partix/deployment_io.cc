@@ -16,10 +16,11 @@ namespace {
 
 Status WriteFile(const fs::path& path, const std::string& content) {
   std::ofstream out(path);
-  if (!out) {
+  out << content;
+  out.close();  // flushes: a full disk fails here, not at the write
+  if (out.fail()) {
     return Status::Internal("cannot write '" + path.string() + "'");
   }
-  out << content;
   return Status::Ok();
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/strings.h"
 #include "telemetry/metrics.h"
 
 namespace partix::storage {
@@ -15,10 +14,6 @@ namespace {
 struct IndexTelemetry {
   telemetry::Counter* element_probes;
   telemetry::Counter* element_hits;
-  telemetry::Counter* text_probes;
-  telemetry::Counter* text_hits;
-  telemetry::Counter* value_probes;
-  telemetry::Counter* value_hits;
   telemetry::Counter* structural_probes;
   telemetry::Counter* structural_hits;
 
@@ -30,11 +25,6 @@ struct IndexTelemetry {
           registry.GetCounter("partix_index_element_probes_total");
       out.element_hits =
           registry.GetCounter("partix_index_element_hits_total");
-      out.text_probes = registry.GetCounter("partix_index_text_probes_total");
-      out.text_hits = registry.GetCounter("partix_index_text_hits_total");
-      out.value_probes =
-          registry.GetCounter("partix_index_value_probes_total");
-      out.value_hits = registry.GetCounter("partix_index_value_hits_total");
       out.structural_probes =
           registry.GetCounter("partix_structural_index_probes_total");
       out.structural_hits =
@@ -85,105 +75,6 @@ const PostingList* ElementIndex::Lookup(std::string_view name) const {
   auto it = postings_.find(std::string(name));
   if (it == postings_.end()) return nullptr;
   IndexTelemetry::Get().element_hits->Add();
-  return &it->second;
-}
-
-void TextIndex::AddDocument(DocSlot slot, const xml::Document& doc) {
-  if (doc.empty()) return;
-  doc.VisitSubtree(doc.root(), [&](xml::NodeId n) {
-    if (doc.kind(n) == xml::NodeKind::kElement) return;
-    for (std::string& token : TokenizeWords(doc.value(n))) {
-      Append(&postings_, std::move(token), slot);
-    }
-  });
-}
-
-const PostingList* TextIndex::Lookup(std::string_view token) const {
-  IndexTelemetry::Get().text_probes->Add();
-  auto it = postings_.find(AsciiLower(token));
-  if (it == postings_.end()) return nullptr;
-  IndexTelemetry::Get().text_hits->Add();
-  return &it->second;
-}
-
-std::optional<PostingList> TextIndex::CandidatesForContains(
-    std::string_view needle) const {
-  std::vector<std::string> tokens = TokenizeWords(needle);
-  if (tokens.empty()) return std::nullopt;
-  // A substring match can span token boundaries only if each full token of
-  // the needle (except possibly a prefix/suffix fragment) appears in the
-  // document. We keep the conservative contract simple: only prune when the
-  // needle is a single word token that is exactly the needle itself
-  // (lowercased); otherwise every interior token must be present.
-  PostingList current;
-  bool first = true;
-  for (const std::string& token : tokens) {
-    const PostingList* p = Lookup(token);
-    if (p == nullptr) {
-      // Token absent everywhere: for a single-token needle no document can
-      // contain the word; multi-token needles could still straddle
-      // tokenization in odd ways, but word tokens of the needle must appear
-      // as word tokens of the text under our tokenizer, so empty is sound.
-      return PostingList{};
-    }
-    current = first ? *p : IntersectPostings(current, *p);
-    first = false;
-    if (current.empty()) break;
-  }
-  return current;
-}
-
-std::string ValueIndex::Key(std::string_view name, std::string_view value) {
-  std::string key;
-  key.reserve(name.size() + value.size() + 1);
-  key.append(name);
-  key.push_back('\0');
-  key.append(value);
-  return key;
-}
-
-void ValueIndex::AddDocument(DocSlot slot, const xml::Document& doc) {
-  if (doc.empty()) return;
-  doc.VisitSubtree(doc.root(), [&](xml::NodeId n) {
-    switch (doc.kind(n)) {
-      case xml::NodeKind::kAttribute: {
-        std::string_view v = doc.value(n);
-        if (v.size() <= kMaxValueLength) {
-          Append(&postings_, Key(doc.name(n), v), slot);
-        }
-        break;
-      }
-      case xml::NodeKind::kElement: {
-        if (!doc.HasSimpleContent(n)) break;
-        xml::NodeId child = doc.first_child(n);
-        // Simple content: gather the single text child if present.
-        std::string_view v;
-        bool has_text = false;
-        for (xml::NodeId c = child; c != xml::kNullNode;
-             c = doc.next_sibling(c)) {
-          if (doc.kind(c) == xml::NodeKind::kText) {
-            v = doc.value(c);
-            has_text = true;
-            break;
-          }
-        }
-        if (has_text && v.size() <= kMaxValueLength) {
-          Append(&postings_, Key(doc.name(n), v), slot);
-        }
-        break;
-      }
-      case xml::NodeKind::kText:
-        break;
-    }
-  });
-}
-
-const PostingList* ValueIndex::Lookup(std::string_view name,
-                                      std::string_view value) const {
-  IndexTelemetry::Get().value_probes->Add();
-  auto it = postings_.find(Key(name, value));
-  if (it == postings_.end()) return nullptr;
-  IndexTelemetry::Get().value_hits->Add();
   return &it->second;
 }
 

@@ -175,8 +175,7 @@ size_t Document::ApproxBytes() const {
   bytes += arena_.used_bytes() + texts_.size() * sizeof(TextRef);
   if (origin_tracking_) bytes += origins_.size() * sizeof(NodeId);
   if (!labels_.empty()) {
-    bytes += labels_.size() * (sizeof(NodeLabel) + 2 * sizeof(uint32_t));
-    bytes += dewey_buf_.size() * sizeof(uint32_t);
+    bytes += labels_.size() * (sizeof(NodeLabel) + sizeof(NodeId));
   }
   return bytes;
 }
@@ -184,8 +183,6 @@ size_t Document::ApproxBytes() const {
 void Document::ClearLabels() {
   labels_.clear();
   pre_to_node_.clear();
-  dewey_off_.clear();
-  dewey_buf_.clear();
   name_occ_.clear();
 }
 
@@ -194,72 +191,42 @@ void Document::SealLabels() {
   const size_t n = nodes_.size();
   labels_.resize(n);
   pre_to_node_.resize(n);
-  dewey_off_.resize(n);
 
-  // One iterative DFS assigns everything: pre/level/Dewey on entry,
-  // post/sub_max on exit. An explicit stack keeps arbitrarily deep
-  // reconstruction outputs safe (the parser caps depth, builders do not).
+  // One iterative DFS assigns everything: pre/level on entry, sub_max on
+  // exit. An explicit stack keeps arbitrarily deep reconstruction outputs
+  // safe (the parser caps depth, builders do not).
   struct Frame {
     NodeId node;
-    NodeId next_child;   // next child to descend into
-    uint32_t ordinal;    // 1-based ordinal of the next child
+    NodeId next_child;  // next child to descend into
   };
   std::vector<Frame> stack;
   uint32_t next_pre = 0;
-  uint32_t next_post = 0;
 
-  auto enter = [&](NodeId id, uint32_t level, const Frame* parent_frame) {
+  auto enter = [&](NodeId id, uint32_t level) {
     NodeLabel& l = labels_[id];
     l.pre = next_pre;
     l.level = level;
     pre_to_node_[next_pre] = id;
     ++next_pre;
-    dewey_off_[id] = static_cast<uint32_t>(dewey_buf_.size());
-    if (parent_frame != nullptr) {
-      // Parent prefix + this node's sibling ordinal. Indexed copy: a range
-      // insert from dewey_buf_ into itself is UB on reallocation.
-      const uint32_t poff = dewey_off_[parent_frame->node];
-      for (uint32_t i = 0; i + 1 < level; ++i) {
-        dewey_buf_.push_back(dewey_buf_[poff + i]);
-      }
-      dewey_buf_.push_back(parent_frame->ordinal);
-    } else {
-      dewey_buf_.push_back(1);
-    }
     if (nodes_[id].kind != NodeKind::kText) {
       name_occ_[nodes_[id].name].push_back(l.pre);  // pre order => sorted
     }
-    stack.push_back(Frame{id, nodes_[id].first_child, 1});
+    stack.push_back(Frame{id, nodes_[id].first_child});
   };
 
-  enter(root(), 1, nullptr);
+  enter(root(), 1);
   while (!stack.empty()) {
     Frame& top = stack.back();
     if (top.next_child != kNullNode) {
       NodeId child = top.next_child;
       top.next_child = nodes_[child].next_sibling;
-      uint32_t level = labels_[top.node].level + 1;
-      enter(child, level, &top);
-      // `top` may dangle after enter() pushed; re-fetch next iteration.
-      stack[stack.size() - 2].ordinal++;
+      // `top` may dangle once enter() pushes; it is not used after.
+      enter(child, labels_[top.node].level + 1);
     } else {
-      NodeLabel& l = labels_[top.node];
-      l.post = next_post++;
-      l.sub_max = next_pre - 1;
+      labels_[top.node].sub_max = next_pre - 1;
       stack.pop_back();
     }
   }
-}
-
-std::string Document::DeweyString(NodeId n) const {
-  uint32_t len = 0;
-  const uint32_t* c = dewey(n, &len);
-  std::string out;
-  for (uint32_t i = 0; i < len; ++i) {
-    if (i > 0) out.push_back('.');
-    out.append(std::to_string(c[i]));
-  }
-  return out;
 }
 
 const std::vector<uint32_t>* Document::NameOccurrences(NameId name) const {

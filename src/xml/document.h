@@ -42,17 +42,17 @@ enum class NodeKind : uint8_t {
 /// pure function of document structure, so re-parsing a serialized document
 /// always reproduces them:
 ///
-///   descendant(a, b)  iff  pre(a) < pre(b) && post(b) < post(a)
-///                     iff  pre(a) < pre(b) <= sub_max(a)
+///   descendant(a, b)  iff  pre(a) < pre(b) <= sub_max(a)
 ///   child(a, b)       iff  descendant(a, b) && level(b) == level(a) + 1
-///   following(a, b)   iff  pre(b) > pre(a) && post(b) > post(a)
+///   following(a, b)   iff  pre(b) > sub_max(a)
 ///
-/// Because descendants occupy the contiguous preorder interval
-/// (pre, sub_max], axis steps become binary-searchable range scans over
-/// per-name sorted preorder lists instead of subtree walks.
+/// XISS's 0-based postorder rank is implied, not stored:
+/// post = sub_max - level + 1. Because descendants occupy the contiguous
+/// preorder interval (pre, sub_max], axis steps become binary-searchable
+/// range scans over per-name sorted preorder lists instead of subtree
+/// walks.
 struct NodeLabel {
   uint32_t pre = 0;      ///< preorder rank, 0-based; the root has pre 0
-  uint32_t post = 0;     ///< postorder rank, 0-based
   uint32_t sub_max = 0;  ///< largest preorder rank inside the subtree
   uint32_t level = 0;    ///< depth; the root is level 1
 };
@@ -159,11 +159,11 @@ class Document {
   /// Visits `n` and all descendants in document order.
   void VisitSubtree(NodeId n, const std::function<void(NodeId)>& fn) const;
 
-  // ---- Structural labels (XISS/R intervals + Dewey prefixes) ----
+  // ---- Structural labels (XISS/R intervals) ----
 
-  /// Computes (pre, post, sub_max, level) and Dewey-prefix labels for every
-  /// node, plus the per-name sorted preorder occurrence lists that back
-  /// label-range axis joins. Called by the parser after a successful parse
+  /// Computes the (pre, sub_max, level) label of every node, plus the
+  /// per-name sorted preorder occurrence lists that back label-range axis
+  /// joins. Called by the parser after a successful parse
   /// and by long-lived builders (generators, reconstruction) before the
   /// document is frozen behind a DocumentPtr; sealing after that point
   /// would race with concurrent readers. Idempotent; any later builder
@@ -179,20 +179,6 @@ class Document {
 
   /// Node with preorder rank `pre`. Pre: has_labels() && pre < node_count().
   NodeId NodeAtPre(uint32_t pre) const { return pre_to_node_[pre]; }
-
-  /// Dewey prefix label of `n` as (components, length); component k is the
-  /// 1-based ordinal of the k-th step on the root path. The label of an
-  /// ancestor is a strict prefix of the label of each of its descendants,
-  /// which is what lets fragment reconstruction merge by label instead of
-  /// joining by value. Pre: has_labels().
-  const uint32_t* dewey(NodeId n, uint32_t* length) const {
-    *length = labels_[n].level;
-    return dewey_buf_.data() + dewey_off_[n];
-  }
-
-  /// Dewey label rendered as "1.2.3" (diagnostics, tests, persistence
-  /// checksums). Pre: has_labels().
-  std::string DeweyString(NodeId n) const;
 
   /// Sorted preorder ranks of element/attribute nodes named `name`, or
   /// nullptr if the name does not occur. Pre: has_labels().
@@ -298,13 +284,9 @@ class Document {
   std::vector<NodeData> nodes_;
   std::vector<TextRef> texts_;
 
-  // Structural labels, indexed by NodeId; empty until SealLabels(). The
-  // Dewey component of node n lives at dewey_buf_[dewey_off_[n]] with
-  // length label(n).level.
+  // Structural labels, indexed by NodeId; empty until SealLabels().
   std::vector<NodeLabel> labels_;
   std::vector<NodeId> pre_to_node_;
-  std::vector<uint32_t> dewey_off_;
-  std::vector<uint32_t> dewey_buf_;
   std::unordered_map<NameId, std::vector<uint32_t>> name_occ_;
 
   bool origin_tracking_ = false;

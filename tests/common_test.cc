@@ -83,16 +83,6 @@ TEST(StringsTest, ContainsAndAffixes) {
   EXPECT_FALSE(StartsWith("h", "he"));
 }
 
-TEST(StringsTest, TokenizeWords) {
-  auto tokens = TokenizeWords("Good, CHEAP item-42!");
-  ASSERT_EQ(tokens.size(), 4u);
-  EXPECT_EQ(tokens[0], "good");
-  EXPECT_EQ(tokens[1], "cheap");
-  EXPECT_EQ(tokens[2], "item");
-  EXPECT_EQ(tokens[3], "42");
-  EXPECT_TRUE(TokenizeWords("  ,,, ").empty());
-}
-
 TEST(StringsTest, ParseNumbers) {
   double d = 0;
   EXPECT_TRUE(ParseDouble(" 3.25 ", &d));

@@ -192,6 +192,67 @@ TEST_F(DeploymentIoTest, RefusesToOverwrite) {
             StatusCode::kAlreadyExists);
 }
 
+TEST_F(DeploymentIoTest, SaveReportsFailedWrite) {
+  // /dev/full opens for writing and fails every flush, like a full disk.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  gen::ItemsGenOptions options;
+  options.doc_count = 8;
+  options.seed = 80;
+  auto items = gen::GenerateItems(options, nullptr);
+  ASSERT_TRUE(items.ok());
+  auto schema =
+      workload::SectionHorizontalSchema("items", options.sections, 2);
+  ASSERT_TRUE(schema.ok());
+  DistributionCatalog catalog;
+  ClusterSim cluster(2, xdb::DatabaseOptions(), NetworkModel());
+  DataPublisher publisher(&cluster, &catalog);
+  ASSERT_TRUE(publisher.PublishFragmented(*items, *schema).ok());
+
+  // The schema file, not catalog.txt: a catalog.txt link would trip the
+  // overwrite check before anything is written.
+  fs::create_directories(dir_);
+  const fs::path link = dir_ / "schema_items.txt";
+  fs::create_symlink("/dev/full", link);
+  const Status status = SaveDeployment(dir_.string(), catalog, &cluster);
+  // Reading /dev/full never ends: drop the link before anything can.
+  fs::remove(link);
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+  EXPECT_NE(status.message().find("schema_items.txt"), std::string::npos)
+      << status;
+}
+
+TEST_F(DeploymentIoTest, SaveReportsFailedCollectionExport) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  gen::ItemsGenOptions options;
+  options.doc_count = 8;
+  options.seed = 81;
+  auto items = gen::GenerateItems(options, nullptr);
+  ASSERT_TRUE(items.ok());
+  auto schema =
+      workload::SectionHorizontalSchema("items", options.sections, 2);
+  ASSERT_TRUE(schema.ok());
+  DistributionCatalog catalog;
+  ClusterSim cluster(2, xdb::DatabaseOptions(), NetworkModel());
+  DataPublisher publisher(&cluster, &catalog);
+  ASSERT_TRUE(publisher.PublishFragmented(*items, *schema).ok());
+
+  // The first document file of the first collection node 0 exports.
+  xdb::Database& db = cluster.database(0);
+  ASSERT_FALSE(db.CollectionNames().empty());
+  const std::string collection = db.CollectionNames()[0];
+  ASSERT_GT(*db.DocumentCount(collection), 0u);
+  const fs::path target = dir_ / "node0" / collection;
+  fs::create_directories(target);
+  const fs::path link = target / "000000.xml";
+  fs::create_symlink("/dev/full", link);
+  const Status status = SaveDeployment(dir_.string(), catalog, &cluster);
+  // Reading /dev/full never ends: drop the link before anything can.
+  fs::remove(link);
+  EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+  EXPECT_NE(status.message().find("000000.xml"), std::string::npos)
+      << status;
+}
+
 TEST_F(DeploymentIoTest, LoadMissingDirectoryFails) {
   auto result = LoadDeployment((dir_ / "nope").string(),
                                xdb::DatabaseOptions(), NetworkModel());

@@ -10,14 +10,7 @@ namespace {
 
 class DatabaseTest : public ::testing::Test {
  protected:
-  static xdb::DatabaseOptions FullyIndexed() {
-    DatabaseOptions options;
-    options.enable_value_index = true;
-    options.text_index_accelerates_contains = true;
-    return options;
-  }
-
-  DatabaseTest() : db_(FullyIndexed()) {
+  DatabaseTest() {
     EXPECT_TRUE(db_.CreateCollection("items").ok());
     Store("<Item><Code>1</Code><Name>cd one</Name>"
           "<Description>a good disc</Description><Section>CD</Section>"
@@ -77,21 +70,23 @@ TEST_F(DatabaseTest, MetricsArePopulated) {
   EXPECT_GT(last_metrics_.elapsed_ms, 0.0);
 }
 
-TEST_F(DatabaseTest, ValueIndexPrunesEqualityQuery) {
-  Run("count(collection(\"items\")/Item[Section = \"DVD\"])");
-  // Only the one DVD document should be considered (value index).
-  EXPECT_EQ(last_metrics_.docs_considered, 1u);
-}
-
-TEST_F(DatabaseTest, TextIndexPrunesContainsQuery) {
-  Run("count(for $i in collection(\"items\")/Item "
-      "where contains($i/Description, \"movie\") return $i)");
-  EXPECT_EQ(last_metrics_.docs_considered, 1u);
-}
-
 TEST_F(DatabaseTest, ElementIndexPrunesStructuralQuery) {
   Run("count(collection(\"items\")/Item/Bogus)");
   EXPECT_EQ(last_metrics_.docs_considered, 0u);
+}
+
+// The paper's eXist ran with no value indexes: value predicates prune
+// only by the element names they mention, then scan every candidate.
+TEST_F(DatabaseTest, EqualityPredicateScansEveryCandidate) {
+  EXPECT_EQ(Run("count(collection(\"items\")/Item[Section = \"DVD\"])"), "1");
+  EXPECT_EQ(last_metrics_.docs_considered, 3u);
+}
+
+TEST_F(DatabaseTest, ContainsPredicateScansEveryCandidate) {
+  EXPECT_EQ(Run("count(for $i in collection(\"items\")/Item "
+                "where contains($i/Description, \"movie\") return $i)"),
+            "1");
+  EXPECT_EQ(last_metrics_.docs_considered, 3u);
 }
 
 TEST_F(DatabaseTest, UnprunableQueriesConsiderAllDocs) {
@@ -100,7 +95,7 @@ TEST_F(DatabaseTest, UnprunableQueriesConsiderAllDocs) {
 }
 
 TEST_F(DatabaseTest, NegatedPredicatesAreNotPruned) {
-  // not(contains(...)) must not use the positive text-index constraint.
+  // not(contains(...)) gives the planner no constraint to prune on.
   EXPECT_EQ(Run("count(for $i in collection(\"items\")/Item "
                 "where not(contains($i/Description, \"good\")) "
                 "return $i)"),
@@ -131,21 +126,24 @@ TEST_F(DatabaseTest, MalformedQueryReportsParseError) {
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
 }
 
-TEST(DatabaseOptionsTest, IndexesCanBeDisabled) {
+TEST(DatabaseOptionsTest, ElementIndexPrunesWithStructuralIndexOff) {
   DatabaseOptions options;
-  options.enable_element_index = false;
-  options.enable_text_index = false;
-  options.enable_value_index = false;
+  options.enable_structural_index = false;
   Database db(options);
   ASSERT_TRUE(db.CreateCollection("c").ok());
-  ASSERT_TRUE(db.StoreSerialized("c", "d",
-                                 "<Item><Section>CD</Section></Item>")
-                  .ok());
-  auto result = db.Execute("count(collection(\"c\")/Item[Section = \"X\"])");
+  ASSERT_TRUE(
+      db.StoreSerialized("c", "d0", "<Item><Section>CD</Section></Item>").ok());
+  ASSERT_TRUE(
+      db.StoreSerialized("c", "d1", "<Item><Name>x</Name></Item>").ok());
+  auto result = db.Execute("count(collection(\"c\")/Item[Section = \"CD\"])");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->serialized, "1");
+  // Only the document holding a Section element is a candidate.
+  EXPECT_EQ(result->metrics.docs_considered, 1u);
+  result = db.Execute("count(collection(\"c\")/Item/Bogus)");
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->serialized, "0");
-  // Without indexes every document must be considered.
-  EXPECT_EQ(result->metrics.docs_considered, 1u);
+  EXPECT_EQ(result->metrics.docs_considered, 0u);
 }
 
 TEST(DatabaseSchemaTest, ValidateOnStore) {
@@ -183,9 +181,8 @@ TEST(PlannerTest, ExtractsSpineElements) {
 TEST(PlannerTest, ExtractsStepPredicateConstraints) {
   auto plans = Plan("collection(\"c\")/Item[Section = \"CD\"]");
   const SiteConstraints& site = plans["c"].sites[0];
-  ASSERT_EQ(site.value_equals.size(), 1u);
-  EXPECT_EQ(site.value_equals[0].first, "Section");
-  EXPECT_EQ(site.value_equals[0].second, "CD");
+  EXPECT_EQ(site.required_elements,
+            (std::vector<std::string>{"Item", "Section"}));
 }
 
 TEST(PlannerTest, ExtractsWhereClauseConstraints) {
@@ -194,9 +191,8 @@ TEST(PlannerTest, ExtractsWhereClauseConstraints) {
       "where contains($i/Description, \"good\") and $i/Code = 5 "
       "return $i");
   const SiteConstraints& site = plans["c"].sites[0];
-  EXPECT_EQ(site.contains_needles, (std::vector<std::string>{"good"}));
-  ASSERT_EQ(site.value_equals.size(), 1u);
-  EXPECT_EQ(site.value_equals[0].first, "Code");
+  EXPECT_EQ(site.required_elements,
+            (std::vector<std::string>{"Item", "Description", "Code"}));
 }
 
 TEST(PlannerTest, BareCollectionIsUnconstrained) {
@@ -210,7 +206,6 @@ TEST(PlannerTest, OrPredicatesYieldNoConstraints) {
       "for $i in collection(\"c\")/Item "
       "where $i/A = \"x\" or $i/B = \"y\" return $i");
   const SiteConstraints& site = plans["c"].sites[0];
-  EXPECT_TRUE(site.value_equals.empty());
   EXPECT_EQ(site.required_elements,
             (std::vector<std::string>{"Item"}));
 }

@@ -116,6 +116,25 @@ TEST_F(PersistenceTest, ImportDetectsMissingDocumentFile) {
             StatusCode::kCorruption);
 }
 
+TEST_F(PersistenceTest, ExportReportsFailedWrite) {
+  // /dev/full opens for writing and fails every flush, like a full disk.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Database db;
+  ASSERT_TRUE(db.CreateCollection("c").ok());
+  ASSERT_TRUE(db.StoreSerialized("c", "d", "<a><b>x</b></a>").ok());
+  for (const std::string file : {"000000.xml", "STRUCT"}) {
+    SCOPED_TRACE(file);
+    fs::remove_all(dir_);
+    fs::create_directories(dir_);
+    fs::create_symlink("/dev/full", dir_ / file);
+    const Status status = ExportCollection(db, "c", dir_.string());
+    // Reading /dev/full never ends: drop the link before anything can.
+    fs::remove(dir_ / file);
+    EXPECT_EQ(status.code(), StatusCode::kInternal) << status;
+    EXPECT_NE(status.message().find(file), std::string::npos) << status;
+  }
+}
+
 TEST_F(PersistenceTest, ExportUnknownCollectionFails) {
   Database db;
   EXPECT_FALSE(ExportCollection(db, "nope", dir_.string()).ok());

@@ -135,64 +135,6 @@ TEST(ElementIndexTest, IndexesAttributes) {
   ASSERT_NE(index.Lookup("id"), nullptr);
 }
 
-TEST(TextIndexTest, TokensAreLowercased) {
-  auto pool = Pool();
-  TextIndex index;
-  index.AddDocument(0, *Parse(pool, "a", "<r>A Good Thing</r>"));
-  index.AddDocument(1, *Parse(pool, "b", "<r>bad thing</r>"));
-  EXPECT_EQ(*index.Lookup("good"), (PostingList{0}));
-  EXPECT_EQ(*index.Lookup("GOOD"), (PostingList{0}));
-  EXPECT_EQ(*index.Lookup("thing"), (PostingList{0, 1}));
-}
-
-TEST(TextIndexTest, CandidatesForContains) {
-  auto pool = Pool();
-  TextIndex index;
-  index.AddDocument(0, *Parse(pool, "a", "<r>a good cheap disc</r>"));
-  index.AddDocument(1, *Parse(pool, "b", "<r>a bad disc</r>"));
-  auto good = index.CandidatesForContains("good");
-  ASSERT_TRUE(good.has_value());
-  EXPECT_EQ(*good, (PostingList{0}));
-  auto multi = index.CandidatesForContains("good cheap");
-  ASSERT_TRUE(multi.has_value());
-  EXPECT_EQ(*multi, (PostingList{0}));
-  auto absent = index.CandidatesForContains("zebra");
-  ASSERT_TRUE(absent.has_value());
-  EXPECT_TRUE(absent->empty());
-  // A needle with no word tokens cannot prune.
-  EXPECT_FALSE(index.CandidatesForContains("   ").has_value());
-}
-
-TEST(ValueIndexTest, ExactMatches) {
-  auto pool = Pool();
-  ValueIndex index;
-  index.AddDocument(0, *Parse(pool, "a",
-                              "<Item><Section>CD</Section></Item>"));
-  index.AddDocument(1, *Parse(pool, "b",
-                              "<Item><Section>DVD</Section></Item>"));
-  ASSERT_NE(index.Lookup("Section", "CD"), nullptr);
-  EXPECT_EQ(*index.Lookup("Section", "CD"), (PostingList{0}));
-  EXPECT_EQ(index.Lookup("Section", "VHS"), nullptr);
-}
-
-TEST(ValueIndexTest, SkipsLongValuesAndComplexContent) {
-  auto pool = Pool();
-  ValueIndex index;
-  std::string longval(100, 'x');
-  index.AddDocument(0, *Parse(pool, "a", "<r><v>" + longval + "</v></r>"));
-  EXPECT_EQ(index.Lookup("v", longval), nullptr);
-  // <r> has element content; only <v> is simple.
-  EXPECT_EQ(index.Lookup("r", longval), nullptr);
-}
-
-TEST(ValueIndexTest, IndexesAttributeValues) {
-  auto pool = Pool();
-  ValueIndex index;
-  index.AddDocument(3, *Parse(pool, "a", "<r kind=\"x\"/>"));
-  ASSERT_NE(index.Lookup("kind", "x"), nullptr);
-  EXPECT_EQ(*index.Lookup("kind", "x"), (PostingList{3}));
-}
-
 TEST(CollectionStatsTest, Accumulates) {
   auto pool = Pool();
   CollectionStats stats;

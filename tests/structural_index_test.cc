@@ -1,11 +1,12 @@
 // Structural labeling index tests (see docs/structural-index.md):
 //
-//   - label invariants: (pre, post, level) interval axioms, sub_max
-//     contiguity, Dewey prefix ordering, NodeAtPre/VisitSubtree agreement
+//   - label invariants: (pre, sub_max, level) interval axioms, sub_max
+//     contiguity, NodeAtPre/VisitSubtree agreement
 //   - labels survive mutation correctly: any edit invalidates, resealing
 //     reproduces the same label stream (determinism contract behind the
 //     STRUCT persistence sidecar)
-//   - persistence: STRUCT sidecar round-trips, detects corrupted entries
+//   - persistence: the STRUCT checksum keeps its pinned values, the
+//     sidecar round-trips and detects corrupted entries
 //   - index-backed evaluation is byte-identical to navigational
 //     evaluation across every workload query under every fragmentation
 //     design (DatabaseOptions::enable_structural_index on vs off)
@@ -13,7 +14,7 @@
 //     navigate and larger ones scan labels, with identical answers
 //   - label-merge JoinFragments is byte-identical to the value-join
 //     baseline (JoinFragmentsValueJoin)
-//   - planner: spine level bounds and static step strategies
+//   - planner: spine level bounds
 //   - concurrency: parallel probes of a built StructuralIndex and
 //     label-range scans over shared sealed documents — the read surface
 //     the index contract declares shareable (exercised under TSan by
@@ -106,43 +107,22 @@ void CheckLabelInvariants(const Document& doc) {
       // Interval containment: child strictly inside the parent.
       EXPECT_LT(p.pre, l.pre);
       EXPECT_LE(l.sub_max, p.sub_max);
-      EXPECT_LT(l.post, p.post);
       EXPECT_EQ(l.level, p.level + 1);
       EXPECT_TRUE(doc.IsAncestor(parent, n));
       EXPECT_FALSE(doc.IsAncestor(n, parent));
-
-      // Dewey: the parent's components are a strict prefix.
-      uint32_t plen = 0;
-      uint32_t clen = 0;
-      const uint32_t* pd = doc.dewey(parent, &plen);
-      const uint32_t* cd = doc.dewey(n, &clen);
-      ASSERT_EQ(clen, plen + 1);
-      for (uint32_t i = 0; i < plen; ++i) EXPECT_EQ(cd[i], pd[i]);
     }
-    // Dewey length always equals the level.
-    uint32_t len = 0;
-    doc.dewey(n, &len);
-    EXPECT_EQ(len, l.level);
   }
 
-  // Sibling ordinals strictly increase left to right and preorder follows
-  // sibling order.
+  // Preorder follows sibling order.
   for (NodeId n = 0; n < n_count; ++n) {
-    uint32_t prev_ordinal = 0;
     uint32_t prev_pre = 0;
     bool first = true;
     for (NodeId c = doc.first_child(n); c != kNullNode;
          c = doc.next_sibling(c)) {
-      uint32_t len = 0;
-      const uint32_t* d = doc.dewey(c, &len);
-      ASSERT_GT(len, 0u);
-      const uint32_t ordinal = d[len - 1];
       const uint32_t pre = doc.label(c).pre;
       if (!first) {
-        EXPECT_GT(ordinal, prev_ordinal);
         EXPECT_GT(pre, prev_pre);
       }
-      prev_ordinal = ordinal;
       prev_pre = pre;
       first = false;
     }
@@ -225,6 +205,81 @@ TEST(StructuralLabelTest, MutationInvalidatesAndResealReproduces) {
   EXPECT_FALSE(copy->has_labels());  // any edit invalidates
   copy->SealLabels();
   EXPECT_NE(xdb::StructuralLabelChecksum(*copy), before);
+}
+
+// Values computed when post and Dewey labels were still stored: deriving
+// them must leave every STRUCT checksum as it was, so that earlier exports
+// still import.
+TEST(StructuralLabelTest, ChecksumKeepsPinnedValues) {
+  auto pool = std::make_shared<xml::NamePool>();
+  EXPECT_EQ(xdb::StructuralLabelChecksum(
+                *MustParse(pool, "a", "<a><b>x</b><c/></a>")),
+            0x2db29ebe9aad6882ull);
+  EXPECT_EQ(xdb::StructuralLabelChecksum(*MustParse(
+                pool, "r", "<r id=\"1\"><s><t>v</t><u/></s><s k=\"2\"/></r>")),
+            0x8386561d99347dc2ull);
+}
+
+// Attributes push the elements' positions to two digits, so the derived
+// root paths must keep multi-digit components apart exactly as the stored
+// ones did.
+TEST(StructuralLabelTest, ChecksumKeepsPinnedValueOnWideDocument) {
+  auto pool = std::make_shared<xml::NamePool>();
+  std::string text = "<r a=\"1\" b=\"2\">";
+  for (int i = 1; i <= 11; ++i) text += "<s>" + std::to_string(i) + "</s>";
+  text += "<t x=\"y\"><u><v>deep</v><w/></u></t></r>";
+  EXPECT_EQ(xdb::StructuralLabelChecksum(*MustParse(pool, "w", text)),
+            0xe039619e4e8ef91cull);
+}
+
+/// Assigns each node of `n`'s subtree its 0-based postorder rank.
+void PostorderRanks(const Document& doc, NodeId n, uint32_t* next,
+                    std::vector<uint32_t>* rank) {
+  for (NodeId c = doc.first_child(n); c != kNullNode; c = doc.next_sibling(c)) {
+    PostorderRanks(doc, c, next, rank);
+  }
+  (*rank)[n] = (*next)++;
+}
+
+// The STRUCT checksum mixes sub_max + 1 - level as the postorder rank.
+TEST(StructuralLabelTest, DerivedPostIsPostorderRank) {
+  auto pool = std::make_shared<xml::NamePool>();
+  std::vector<DocumentPtr> docs = {MustParse(
+      pool, "d",
+      "<a id=\"1\"><b><c>x</c><c>y</c></b><b hint=\"h\">z</b><d/></a>")};
+  gen::ItemsGenOptions options;
+  options.doc_count = 3;
+  options.seed = 92;
+  auto items = gen::GenerateItems(options, nullptr);
+  ASSERT_TRUE(items.ok());
+  for (const DocumentPtr& doc : items->docs()) docs.push_back(doc);
+  for (const DocumentPtr& doc : docs) {
+    std::vector<uint32_t> rank(doc->node_count());
+    uint32_t next = 0;
+    PostorderRanks(*doc, doc->root(), &next, &rank);
+    ASSERT_EQ(next, doc->node_count());
+    for (NodeId n = 0; n < doc->node_count(); ++n) {
+      const xml::NodeLabel& l = doc->label(n);
+      EXPECT_EQ(l.sub_max + 1 - l.level, rank[n])
+          << doc->doc_name() << " node " << n;
+    }
+  }
+}
+
+// Labels are fixed-size per node: a document's byte charge depends on
+// how many nodes it has, not on how deep they nest.
+TEST(StructuralLabelTest, LabelBytesDoNotDependOnDepth) {
+  auto pool = std::make_shared<xml::NamePool>();
+  std::string chain;
+  for (int i = 0; i < 300; ++i) chain += "<e>";
+  for (int i = 0; i < 300; ++i) chain += "</e>";
+  const DocumentPtr deep = MustParse(pool, "deep", chain);
+  const DocumentPtr flat =
+      MustParse(pool, "flat", "<e>" + Filler("e", 299) + "</e>");
+  ASSERT_EQ(deep->node_count(), flat->node_count());
+  ASSERT_TRUE(deep->has_labels());
+  ASSERT_TRUE(flat->has_labels());
+  EXPECT_EQ(deep->ApproxBytes(), flat->ApproxBytes());
 }
 
 // --- xpath: index-backed steps vs navigation -----------------------------
@@ -395,9 +450,6 @@ TEST(StructuralPlannerTest, DescendantAxisWeakensToLowerBound) {
   ASSERT_EQ(site.spine_levels.size(), 2u);
   EXPECT_EQ(site.spine_levels[0], (xdb::SpineLevel{"Items", 1, false}));
   EXPECT_EQ(site.spine_levels[1], (xdb::SpineLevel{"Item", 2, false}));
-  ASSERT_EQ(site.step_strategies.size(), 2u);
-  EXPECT_EQ(site.step_strategies[0], xpath::StepStrategy::kLabelRange);
-  EXPECT_EQ(site.step_strategies[1], xpath::StepStrategy::kDynamic);
 }
 
 TEST(StructuralPlannerTest, LevelPruningSkipsMismatchedDocuments) {
