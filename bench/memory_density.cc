@@ -9,7 +9,9 @@
 //      allocation over recycled ArenaPool chunks), counting every global
 //      operator new via an override in this TU. Gate: pooled mode does
 //      >= 30% fewer allocations per parsed document, round-trip
-//      byte-identical.
+//      byte-identical. Also reports density: the heap each parsed Item
+//      document holds (mallinfo2, pooled mode, every document kept alive)
+//      next to the ApproxBytes the parse cache and governor charge for it.
 //
 //   B. Pressure — deploys the Fig. 7(a) horizontal workload under three
 //      per-node budgets (unbounded / generous / tiny) and drives the
@@ -32,6 +34,8 @@
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -225,6 +229,50 @@ ChurnResult MeasureAllocChurn(const partix::xml::Collection& items) {
           ? 100.0 * (1.0 - allocs_per_doc[1] / allocs_per_doc[0])
           : 0.0;
   out.pass = out.identical && out.reduction_pct >= 30.0;
+  return out;
+}
+
+// Heap bytes in use by the C allocator, brk and mmap chunks of every
+// malloc arena alike.
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+struct DensityResult {
+  size_t documents = 0;
+  double heap_bytes_per_doc = 0.0;    // heap growth while holding them
+  double charge_bytes_per_doc = 0.0;  // Document::ApproxBytes
+};
+
+DensityResult MeasureDensity(const partix::xml::Collection& items) {
+  namespace xml = partix::xml;
+  DensityResult out;
+  std::vector<std::string> serialized;
+  serialized.reserve(items.size());
+  for (const auto& doc : items.docs()) serialized.push_back(Serialize(*doc));
+  if (serialized.empty()) return out;
+
+  auto pool = std::make_shared<xml::NamePool>();
+  // Intern the names first: the pool is shared, not any document's.
+  (void)xml::ParseXml(pool, "warm", serialized.front());
+  std::vector<xml::DocumentPtr> held;
+  held.reserve(serialized.size());
+  partix::memory::ArenaPool::Global().Trim();  // every chunk is fresh
+  const size_t before = HeapInUse();
+  for (const std::string& body : serialized) {
+    auto doc = xml::ParseXml(pool, "doc", body);
+    if (doc.ok()) held.push_back(*doc);
+  }
+  const size_t after = HeapInUse();
+  size_t charge = 0;
+  for (const xml::DocumentPtr& doc : held) charge += doc->ApproxBytes();
+  out.documents = held.size();
+  if (out.documents == 0) return out;
+  const double n = static_cast<double>(out.documents);
+  out.heap_bytes_per_doc =
+      after > before ? static_cast<double>(after - before) / n : 0.0;
+  out.charge_bytes_per_doc = static_cast<double>(charge) / n;
   return out;
 }
 
@@ -437,6 +485,13 @@ int main() {
       "  reduction: %.1f%% (gate >= 30%%)  round-trip identical: %s\n",
       churn.direct_allocs_per_doc, churn.pooled_allocs_per_doc,
       churn.reduction_pct, churn.identical ? "yes" : "NO");
+  const DensityResult density = MeasureDensity(*items);
+  std::printf(
+      "density over %zu parsed Item documents (pooled, all held):\n"
+      "  heap held:   %10.0f bytes per document\n"
+      "  charged:     %10.0f bytes per document (ApproxBytes)\n",
+      density.documents, density.heap_bytes_per_doc,
+      density.charge_bytes_per_doc);
 
   // Phase B ------------------------------------------------------------
   const std::vector<workload::QuerySpec> queries =
@@ -547,6 +602,13 @@ int main() {
       churn.direct_allocs_per_doc, churn.pooled_allocs_per_doc,
       churn.reduction_pct, churn.identical ? "true" : "false",
       churn.pass ? "true" : "false");
+  json += buffer;
+  std::snprintf(buffer, sizeof(buffer),
+                "  \"density\": { \"documents\": %zu, "
+                "\"heap_bytes_per_doc\": %.0f, "
+                "\"charge_bytes_per_doc\": %.0f },\n",
+                density.documents, density.heap_bytes_per_doc,
+                density.charge_bytes_per_doc);
   json += buffer;
   json += "  \"pressure\": [\n";
   for (size_t i = 0; i < pressure.size(); ++i) {

@@ -103,8 +103,9 @@ struct QueryMetrics {
   uint64_t bytes_parsed = 0;
   uint64_t cache_hits = 0;
   uint64_t nodes_visited = 0;
-  /// Axis steps answered by structural label-range scans, and the matches
-  /// they produced (0 when the structural index is disabled).
+  /// Axis steps answered by structural label-range scans, and how many of
+  /// them matched at least one node (0 when the structural index is
+  /// disabled).
   uint64_t index_range_scans = 0;
   uint64_t index_range_hits = 0;
   /// Intra-node morsels the evaluation ran, and how many of them helper

@@ -90,7 +90,7 @@ void ArenaPool::DeleteChunk(Chunk* chunk) {
 ArenaPool::Chunk* ArenaPool::Acquire(size_t min_bytes) {
   size_t want = min_bytes < options_.min_chunk_bytes ? options_.min_chunk_bytes
                                                      : min_bytes;
-  size_t capacity = RoundUpPow2(want);
+  size_t capacity = want > options_.max_chunk_bytes ? want : RoundUpPow2(want);
   bool reused = false;
   Chunk* chunk = nullptr;
   {

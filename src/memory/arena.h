@@ -14,7 +14,9 @@ namespace partix::memory {
 /// `max_chunk_bytes`; oversize requests get an exact-size chunk that is
 /// never retained.
 struct ArenaPoolOptions {
-  size_t min_chunk_bytes = size_t{16} << 10;   // 16 KiB
+  /// Small enough that a small document's text (a 16-node Item holds
+  /// ~350 bytes) fits one chunk with little left over.
+  size_t min_chunk_bytes = 512;
   size_t max_chunk_bytes = size_t{1} << 20;    // 1 MiB
   /// Cap on idle chunk bytes kept on the free lists. Chunks released
   /// beyond the cap are returned to the system allocator immediately.
@@ -70,6 +72,7 @@ class ArenaPool {
 
   /// Returns a chunk with capacity >= max(min_bytes, min_chunk_bytes),
   /// reusing a free-listed chunk of the right class when one is idle.
+  /// Requests above `max_chunk_bytes` get exactly `min_bytes`.
   Chunk* Acquire(size_t min_bytes);
 
   /// Takes back a chain of chunks (next-linked, nullptr-terminated).

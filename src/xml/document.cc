@@ -1,8 +1,25 @@
 #include "xml/document.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace partix::xml {
+
+namespace {
+
+/// Heap bytes behind `s`: its buffer once it outgrows the inline
+/// (small-string) storage that an empty string's capacity measures.
+size_t HeapBytes(const std::string& s) {
+  const size_t inline_capacity = std::string().capacity();
+  return s.capacity() > inline_capacity ? s.capacity() + 1 : 0;
+}
+
+template <typename T>
+size_t CapacityBytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+}  // namespace
 
 Document::Document(std::shared_ptr<NamePool> pool, std::string name)
     : Document(std::move(pool), std::move(name),
@@ -168,22 +185,32 @@ void Document::VisitSubtree(NodeId n,
 }
 
 size_t Document::ApproxBytes() const {
-  // arena_.used_bytes() counts the text characters; it is identical in
-  // pooled and direct mode, so cache eviction (which keys off this
-  // figure) behaves the same with the pool on or off.
-  size_t bytes = nodes_.size() * sizeof(NodeData);
-  bytes += arena_.used_bytes() + texts_.size() * sizeof(TextRef);
-  if (origin_tracking_) bytes += origins_.size() * sizeof(NodeId);
-  if (!labels_.empty()) {
-    bytes += labels_.size() * (sizeof(NodeLabel) + sizeof(NodeId));
+  // arena_.used_bytes() counts the text characters, not the chunks that
+  // hold them: it is identical in pooled and direct mode, and a pooled
+  // chunk's capacity depends on which idle chunk the pool handed out, so
+  // charging it would make cache eviction depend on pool history.
+  size_t bytes = sizeof(Document) + arena_.used_bytes();
+  bytes += HeapBytes(doc_name_) + HeapBytes(origin_doc_);
+  // A red-black tree node: colour word and three links, then the entry.
+  constexpr size_t kMapNodeHeader = 4 * sizeof(void*);
+  for (const auto& entry : metadata_) {
+    bytes += kMapNodeHeader + sizeof(entry) + HeapBytes(entry.first) +
+             HeapBytes(entry.second);
   }
+  bytes += CapacityBytes(nodes_) + CapacityBytes(texts_) +
+           CapacityBytes(labels_) + CapacityBytes(pre_to_node_) +
+           CapacityBytes(occ_pre_) + CapacityBytes(occ_runs_) +
+           CapacityBytes(origins_) + scaffold_.capacity() / 8 +
+           CapacityBytes(origin_ancestors_);
+  for (const auto& [node, name] : origin_ancestors_) bytes += HeapBytes(name);
   return bytes;
 }
 
 void Document::ClearLabels() {
   labels_.clear();
   pre_to_node_.clear();
-  name_occ_.clear();
+  occ_pre_.clear();
+  occ_runs_.clear();
 }
 
 void Document::SealLabels() {
@@ -191,6 +218,36 @@ void Document::SealLabels() {
   const size_t n = nodes_.size();
   labels_.resize(n);
   pre_to_node_.resize(n);
+
+  // Occurrence runs by counting, not by sorting: NameIds are dense pool
+  // indexes, so count each id in the document's [lo, hi] range, give
+  // each present id its run start (a prefix sum), and let the preorder
+  // walk below fill every run in ascending order. `slot[id - lo]` is the
+  // run's next free slot.
+  NameId lo = ~NameId{0};
+  NameId hi = 0;
+  for (const NodeData& d : nodes_) {
+    if (d.kind == NodeKind::kText) continue;
+    lo = std::min(lo, d.name);
+    hi = std::max(hi, d.name);
+  }
+  std::vector<uint32_t> slot(hi - lo + 1, 0);
+  size_t named = 0;
+  size_t distinct = 0;
+  for (const NodeData& d : nodes_) {
+    if (d.kind == NodeKind::kText) continue;
+    if (slot[d.name - lo]++ == 0) ++distinct;
+    ++named;
+  }
+  occ_pre_.resize(named);
+  occ_runs_.reserve(distinct);
+  uint32_t start = 0;
+  for (size_t i = 0; i < slot.size(); ++i) {
+    if (slot[i] == 0) continue;
+    occ_runs_.push_back(NameRun{static_cast<NameId>(lo + i), start});
+    start += slot[i];
+    slot[i] = occ_runs_.back().start;
+  }
 
   // One iterative DFS assigns everything: pre/level on entry, sub_max on
   // exit. An explicit stack keeps arbitrarily deep reconstruction outputs
@@ -209,7 +266,7 @@ void Document::SealLabels() {
     pre_to_node_[next_pre] = id;
     ++next_pre;
     if (nodes_[id].kind != NodeKind::kText) {
-      name_occ_[nodes_[id].name].push_back(l.pre);  // pre order => sorted
+      occ_pre_[slot[nodes_[id].name - lo]++] = l.pre;
     }
     stack.push_back(Frame{id, nodes_[id].first_child});
   };
@@ -229,9 +286,16 @@ void Document::SealLabels() {
   }
 }
 
-const std::vector<uint32_t>* Document::NameOccurrences(NameId name) const {
-  auto it = name_occ_.find(name);
-  return it == name_occ_.end() ? nullptr : &it->second;
+std::span<const uint32_t> Document::NameOccurrences(NameId name) const {
+  const auto run = std::lower_bound(
+      occ_runs_.begin(), occ_runs_.end(), name,
+      [](const NameRun& r, NameId id) { return r.name < id; });
+  if (run == occ_runs_.end() || run->name != name) return {};
+  const uint32_t end = run + 1 == occ_runs_.end()
+                           ? static_cast<uint32_t>(occ_pre_.size())
+                           : (run + 1)->start;
+  return std::span<const uint32_t>(occ_pre_).subspan(run->start,
+                                                     end - run->start);
 }
 
 bool Document::IsAncestor(NodeId anc, NodeId desc) const {

@@ -5,9 +5,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "memory/arena.h"
@@ -162,7 +162,7 @@ class Document {
   // ---- Structural labels (XISS/R intervals) ----
 
   /// Computes the (pre, sub_max, level) label of every node, plus the
-  /// per-name sorted preorder occurrence lists that back label-range axis
+  /// per-name sorted preorder occurrence runs that back label-range axis
   /// joins. Called by the parser after a successful parse
   /// and by long-lived builders (generators, reconstruction) before the
   /// document is frozen behind a DocumentPtr; sealing after that point
@@ -180,9 +180,10 @@ class Document {
   /// Node with preorder rank `pre`. Pre: has_labels() && pre < node_count().
   NodeId NodeAtPre(uint32_t pre) const { return pre_to_node_[pre]; }
 
-  /// Sorted preorder ranks of element/attribute nodes named `name`, or
-  /// nullptr if the name does not occur. Pre: has_labels().
-  const std::vector<uint32_t>* NameOccurrences(NameId name) const;
+  /// Sorted preorder ranks of element/attribute nodes named `name`;
+  /// empty if the name does not occur. O(log distinct names).
+  /// Pre: has_labels().
+  std::span<const uint32_t> NameOccurrences(NameId name) const;
 
   /// True if `anc` is a strict ancestor of `desc`. O(1) via labels when
   /// sealed, parent-chain walk otherwise.
@@ -212,7 +213,12 @@ class Document {
 
   const std::shared_ptr<NamePool>& pool() const { return pool_; }
 
-  /// Rough in-memory footprint in bytes (nodes + text payloads).
+  /// Heap bytes the document holds: the object itself, the capacity of
+  /// every container it owns, heap-allocated strings, metadata entries
+  /// and the text bytes in its arena. Deterministic and identical in
+  /// pooled and direct arena mode, so cache eviction never depends on
+  /// the mode or on pool history; it leaves out arena chunk slack and
+  /// malloc headers (docs/memory.md).
   size_t ApproxBytes() const;
 
   // ---- Origin tracking (vertical fragmentation reconstruction IDs) ----
@@ -273,6 +279,13 @@ class Document {
     uint32_t size = 0;
   };
 
+  /// Where one name's run starts in occ_pre_; the run ends where the
+  /// next entry's starts (or at occ_pre_.size()).
+  struct NameRun {
+    NameId name;
+    uint32_t start;
+  };
+
   NodeId NewNode(NodeKind kind, NameId name, uint32_t value, NodeId parent);
   uint32_t AddText(std::string_view value);
   void ClearLabels();
@@ -287,7 +300,10 @@ class Document {
   // Structural labels, indexed by NodeId; empty until SealLabels().
   std::vector<NodeLabel> labels_;
   std::vector<NodeId> pre_to_node_;
-  std::unordered_map<NameId, std::vector<uint32_t>> name_occ_;
+  // Preorder ranks of element/attribute nodes grouped by name, ascending
+  // within each name, and one run per distinct name sorted by NameId.
+  std::vector<uint32_t> occ_pre_;
+  std::vector<NameRun> occ_runs_;
 
   bool origin_tracking_ = false;
   std::string origin_doc_;

@@ -126,11 +126,9 @@ StepScan MatchStep(const Document& doc, NodeId context, const Step& step,
     const StepStrategy strategy = StaticStepStrategy(step);
     if (strategy != StepStrategy::kNavigate &&
         size >= kLabelRangeMinSubtree) {
-      // One occurrence-map lookup and one binary-search pair both decide
+      // One occurrence-run lookup and one binary-search pair both decide
       // a child step and serve the scan.
-      const std::vector<uint32_t>* occ = doc.NameOccurrences(id);
-      const std::span<const uint32_t> all =
-          occ == nullptr ? std::span<const uint32_t>() : std::span(*occ);
+      const std::span<const uint32_t> all = doc.NameOccurrences(id);
       const auto first = std::lower_bound(all.begin(), all.end(), lo);
       const auto last = std::lower_bound(first, all.end(), hi);
       const size_t in_range = static_cast<size_t>(last - first);

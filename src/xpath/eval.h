@@ -24,10 +24,11 @@ struct EvalOptions {
 /// context element, or the whole document for the document node) before
 /// MatchStep consults the label index. Below it, child steps walk the
 /// sibling list and descendant steps scan the preorder interval, a few
-/// integer compares per node; the label path first pays a hash lookup in
-/// the document's name-occurrence map and two binary searches, and
-/// touches four more arrays per document. Set from the crossover of an
-/// engine-level sweep on a 4-vCPU guest (RelWithDebInfo; 4,000 flat
+/// integer compares per node; the label path first pays a search of the
+/// document's name-occurrence runs and two binary searches, and touches
+/// four more arrays per document. Set from the crossover of an
+/// engine-level sweep on a 4-vCPU guest, taken while occurrences were
+/// still a hash map of vectors (RelWithDebInfo; 4,000 flat
 /// records per size, child and descendant steps over a sparse name,
 /// eight alternating runs; EXPERIMENTS.md "Labels where they pay"): at
 /// 16 nodes the walk is 26% cheaper for a child step; from 24 to 56

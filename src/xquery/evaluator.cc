@@ -446,7 +446,7 @@ void Evaluator::MatchStep(EvalContext& ctx, const NodeRef& from,
   ctx.stats.nodes_visited += scan.visited;
   if (scan.label_range) {
     ++ctx.stats.index_range_scans;
-    ctx.stats.index_range_hits += nodes.size();
+    if (!nodes.empty()) ++ctx.stats.index_range_hits;
   }
   out->reserve(out->size() + nodes.size());
   for (NodeId n : nodes) out->push_back(Item(NodeRef{from.doc, n}));

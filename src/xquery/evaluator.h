@@ -64,7 +64,8 @@ struct EvalStats {
   uint64_t collections_resolved = 0;
   uint64_t elements_constructed = 0;
   /// Axis steps answered by a structural label-range scan instead of tree
-  /// navigation, and the matches those scans produced. Only contexts of at
+  /// navigation, and how many of those scans matched at least one node
+  /// (so hits <= scans, as for every index probe). Only contexts of at
   /// least xpath::kLabelRangeMinSubtree nodes scan (descendant steps, and
   /// child steps over a sparse name), so on small documents such as the
   /// 16-node ItemsSHor Items both stay 0. The engine folds these into the

@@ -7,11 +7,15 @@
 //   - xml::Document byte identity: pooled and direct parses serialize
 //     identically and report identical ApproxBytes (cache eviction
 //     behaves the same with pooling on or off)
+//   - xml::Document charge: ApproxBytes covers most of the heap a parsed
+//     document holds and never more
 //   - MemoryGovernor: charge/release/headroom, priority-ordered
 //     eviction, pinned consumers and the overcommit counter, budget
 //     shrink pressure, callback re-entrancy
 //   - governed consumers: DocumentStore parse-cache shedding, PlanCache
 //     byte bound, Database end-to-end under a tiny budget
+
+#include <malloc.h>
 
 #include <atomic>
 #include <memory>
@@ -20,6 +24,7 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "gen/virtual_store.h"
 #include "gtest/gtest.h"
 #include "memory/arena.h"
 #include "memory/governor.h"
@@ -85,9 +90,24 @@ TEST(ArenaPoolTest, OversizeChunksAreNeverRetained) {
   EXPECT_EQ(stats.retained_bytes, 0u);
 }
 
+TEST(ArenaPoolTest, OversizeChunksAreExactSize) {
+  ArenaPool pool;
+  const size_t oversize = pool.options().max_chunk_bytes + 1;
+  ArenaPool::Chunk* chunk = pool.Acquire(oversize);
+  EXPECT_EQ(chunk->capacity, oversize);
+  EXPECT_EQ(pool.stats().outstanding_bytes, oversize);
+  pool.Release(chunk, oversize);
+
+  // An arena's text just past the largest class takes a chunk of its size.
+  Arena arena(&pool);
+  arena.CopyString(std::string(oversize, 'x'));
+  EXPECT_EQ(arena.capacity_bytes(), oversize);
+}
+
 TEST(ArenaPoolTest, RetainedCapBoundsIdleBytes) {
   ArenaPoolOptions options;
-  options.max_retained_bytes = 32 * KiB;  // room for two min-class chunks
+  // Room for two min-class chunks.
+  options.max_retained_bytes = 2 * options.min_chunk_bytes;
   ArenaPool pool(options);
   std::vector<ArenaPool::Chunk*> chunks;
   for (int i = 0; i < 4; ++i) chunks.push_back(pool.Acquire(1));
@@ -100,8 +120,8 @@ TEST(ArenaPoolTest, RetainedCapBoundsIdleBytes) {
 
 TEST(ArenaPoolTest, FragmentationReflectsUnusedReleasedCapacity) {
   ArenaPool pool;
-  ArenaPool::Chunk* chunk = pool.Acquire(1);  // 16 KiB class
-  pool.Release(chunk, 4 * KiB);               // quarter used
+  ArenaPool::Chunk* chunk = pool.Acquire(1);  // min class
+  pool.Release(chunk, pool.options().min_chunk_bytes / 4);  // quarter used
   EXPECT_NEAR(pool.stats().fragmentation_pct(), 75.0, 0.1);
 }
 
@@ -217,6 +237,76 @@ TEST(DocumentArenaTest, PooledAndDirectParsesAreByteIdentical) {
 
   EXPECT_EQ(xml::Serialize(**pooled), xml::Serialize(**direct));
   EXPECT_EQ((*pooled)->ApproxBytes(), (*direct)->ApproxBytes());
+}
+
+// --- Document charge -----------------------------------------------------
+
+// Heap bytes in use by the C allocator, brk and mmap chunks of every
+// malloc arena alike.
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+struct ChargeAndGrowth {
+  size_t charge = 0;
+  size_t growth = 0;
+};
+
+// Parses every text and holds the documents; returns their summed
+// ApproxBytes and the heap the parses left allocated.
+ChargeAndGrowth ParseAndHold(const std::vector<std::string>& texts) {
+  auto pool = std::make_shared<xml::NamePool>();
+  // Intern the names first: the pool is shared, not any document's.
+  EXPECT_TRUE(xml::ParseXml(pool, "warm", texts.front()).ok());
+  std::vector<xml::DocumentPtr> held;
+  held.reserve(texts.size());
+  ArenaPool::Global().Trim();  // no idle chunk may serve the parses
+  const size_t before = HeapInUse();
+  for (const std::string& text : texts) {
+    auto doc = xml::ParseXml(pool, "d", text);
+    EXPECT_TRUE(doc.ok()) << doc.status();
+    if (doc.ok()) held.push_back(*doc);
+  }
+  ChargeAndGrowth out;
+  const size_t after = HeapInUse();
+  out.growth = after > before ? after - before : 0;
+  for (const xml::DocumentPtr& doc : held) out.charge += doc->ApproxBytes();
+  return out;
+}
+
+// The parse cache and the governor charge ApproxBytes, so it must cover
+// most of what a document holds (the rest is arena chunk slack and malloc
+// headers) and never claim more.
+TEST(DocumentChargeTest, ChargeCoversHeldHeap) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators keep their own books";
+#endif
+  gen::ItemsGenOptions item_options;
+  item_options.doc_count = 2000;
+  auto items = gen::GenerateItems(item_options, nullptr);
+  ASSERT_TRUE(items.ok()) << items.status();
+  std::vector<std::string> item_texts;
+  for (const xml::DocumentPtr& doc : items->docs()) {
+    item_texts.push_back(xml::Serialize(*doc));
+  }
+  auto store =
+      gen::GenerateStoreBySize(gen::StoreGenOptions(), 4 << 20, nullptr);
+  ASSERT_TRUE(store.ok()) << store.status();
+  const std::vector<std::string> store_text = {
+      xml::Serialize(*store->docs().front())};
+
+  const std::vector<std::string>* const sets[] = {&item_texts, &store_text};
+  for (const std::vector<std::string>* texts : sets) {
+    const ChargeAndGrowth measured = ParseAndHold(*texts);
+    if (measured.growth == 0) GTEST_SKIP() << "mallinfo2 reads no heap";
+    const double ratio = static_cast<double>(measured.charge) /
+                         static_cast<double>(measured.growth);
+    EXPECT_GE(ratio, 0.75) << texts->size() << " documents: charge "
+                           << measured.charge << " of " << measured.growth;
+    EXPECT_LE(ratio, 1.0) << texts->size() << " documents: charge "
+                          << measured.charge << " of " << measured.growth;
+  }
 }
 
 // --- MemoryGovernor ------------------------------------------------------

@@ -22,6 +22,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -140,17 +141,17 @@ void CheckLabelInvariants(const Document& doc) {
   size_t named_total = 0;
   for (NodeId n = 0; n < n_count; ++n) {
     if (doc.kind(n) == NodeKind::kText) continue;
-    const auto* occ = doc.NameOccurrences(doc.name_id(n));
-    ASSERT_NE(occ, nullptr);
-    EXPECT_TRUE(std::is_sorted(occ->begin(), occ->end()));
+    const std::span<const uint32_t> occ = doc.NameOccurrences(doc.name_id(n));
+    ASSERT_FALSE(occ.empty());
+    EXPECT_TRUE(std::is_sorted(occ.begin(), occ.end()));
     ++named_total;
   }
   size_t listed_total = 0;
   for (NodeId n = 0; n < n_count; ++n) {
     if (doc.kind(n) == NodeKind::kText) continue;
     // Count each name list once by only tallying at its first holder.
-    const auto* occ = doc.NameOccurrences(doc.name_id(n));
-    if (doc.NodeAtPre((*occ)[0]) == n) listed_total += occ->size();
+    const std::span<const uint32_t> occ = doc.NameOccurrences(doc.name_id(n));
+    if (doc.NodeAtPre(occ[0]) == n) listed_total += occ.size();
   }
   EXPECT_EQ(listed_total, named_total);
 }
@@ -185,6 +186,39 @@ TEST(StructuralLabelTest, DescendantIntervalMatchesSubtree) {
       EXPECT_EQ(doc->IsAncestor(n, m), in_interval);
     }
   }
+}
+
+// Occurrence runs hold preorder ranks, so they must follow document order
+// even where node ids (creation order) do not.
+TEST(StructuralLabelTest, OccurrencesFollowPreorderWhenIdsDoNot) {
+  auto pool = std::make_shared<xml::NamePool>();
+  Document doc(pool, "d");
+  const NodeId a = doc.CreateRoot("a");
+  const NodeId b = doc.AppendElement(a, "b");
+  doc.AppendElement(a, "c");
+  doc.AppendElement(b, "c");  // id 3, but preorder rank 2
+  doc.AppendAttribute(b, "k", "v");
+  doc.AppendText(doc.AppendElement(a, "b"), "t");
+  doc.SealLabels();
+  CheckLabelInvariants(doc);
+  ASSERT_NE(doc.label(2).pre, 2u);  // ids really are out of preorder
+
+  for (const char* name : {"a", "b", "c", "k"}) {
+    const xml::NameId id = *pool->Find(name);
+    std::vector<uint32_t> expected;
+    doc.VisitSubtree(doc.root(), [&](NodeId n) {
+      if (doc.kind(n) != NodeKind::kText && doc.name_id(n) == id) {
+        expected.push_back(doc.label(n).pre);
+      }
+    });
+    const std::span<const uint32_t> occ = doc.NameOccurrences(id);
+    EXPECT_EQ(std::vector<uint32_t>(occ.begin(), occ.end()), expected)
+        << name;
+  }
+  // Interned in the pool but absent here, and past the largest id.
+  EXPECT_TRUE(doc.NameOccurrences(pool->Intern("absent")).empty());
+  EXPECT_TRUE(
+      doc.NameOccurrences(static_cast<xml::NameId>(pool->size() + 7)).empty());
 }
 
 TEST(StructuralLabelTest, MutationInvalidatesAndResealReproduces) {
@@ -267,19 +301,25 @@ TEST(StructuralLabelTest, DerivedPostIsPostorderRank) {
 }
 
 // Labels are fixed-size per node: a document's byte charge depends on
-// how many nodes it has, not on how deep they nest.
+// how many nodes it has, not on how deep they nest. Both documents are
+// built node by node: the charge counts container capacity, and the
+// parser reserves by input length, which a chain's closing tags inflate.
 TEST(StructuralLabelTest, LabelBytesDoNotDependOnDepth) {
   auto pool = std::make_shared<xml::NamePool>();
-  std::string chain;
-  for (int i = 0; i < 300; ++i) chain += "<e>";
-  for (int i = 0; i < 300; ++i) chain += "</e>";
-  const DocumentPtr deep = MustParse(pool, "deep", chain);
-  const DocumentPtr flat =
-      MustParse(pool, "flat", "<e>" + Filler("e", 299) + "</e>");
-  ASSERT_EQ(deep->node_count(), flat->node_count());
-  ASSERT_TRUE(deep->has_labels());
-  ASSERT_TRUE(flat->has_labels());
-  EXPECT_EQ(deep->ApproxBytes(), flat->ApproxBytes());
+  Document deep(pool, "deep");
+  Document flat(pool, "flat");
+  NodeId tip = deep.CreateRoot("e");
+  flat.CreateRoot("e");
+  for (int i = 1; i < 300; ++i) {
+    tip = deep.AppendElement(tip, "e");
+    flat.AppendElement(flat.root(), "e");
+  }
+  deep.SealLabels();
+  flat.SealLabels();
+  ASSERT_EQ(deep.node_count(), flat.node_count());
+  ASSERT_EQ(deep.label(tip).level, 300u);
+  ASSERT_TRUE(flat.has_labels());
+  EXPECT_EQ(deep.ApproxBytes(), flat.ApproxBytes());
 }
 
 // --- xpath: index-backed steps vs navigation -----------------------------
@@ -738,6 +778,33 @@ TEST(StructuralTelemetryTest, ProbeAndHitCountersAdvance) {
   EXPECT_EQ(small->metrics.index_range_hits, 0u);
 }
 
+// A label-range scan is one probe; it is one hit when it matches anything,
+// however many nodes it matches, as a StructuralIndex lookup is.
+TEST(StructuralTelemetryTest, HitsNeverExceedProbes) {
+  telemetry::MetricsRegistry& registry = telemetry::MetricsRegistry::Global();
+  registry.set_enabled(true);
+  auto* probes = registry.GetCounter("partix_structural_index_probes_total");
+  auto* hits = registry.GetCounter("partix_structural_index_hits_total");
+  const uint64_t probes_before = probes->Value();
+  const uint64_t hits_before = hits->Value();
+
+  xdb::Database db;
+  ASSERT_TRUE(db.CreateCollection("c").ok());
+  ASSERT_TRUE(db.StoreSerialized("c", "d",
+                                 "<Store><Item/><Item/><Item/>" +
+                                     Filler("Other",
+                                            xpath::kLabelRangeMinSubtree) +
+                                     "</Store>")
+                  .ok());
+  auto result = db.Execute("count(collection(\"c\")//Item)");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->serialized, "3");
+  EXPECT_GT(result->metrics.index_range_scans, 0u);
+  EXPECT_EQ(result->metrics.index_range_hits,
+            result->metrics.index_range_scans);
+  EXPECT_LE(hits->Value() - hits_before, probes->Value() - probes_before);
+}
+
 // --- concurrency: parallel probes (TSan coverage) ------------------------
 
 // The StructuralIndex contract is single-writer during loading, immutable
@@ -803,8 +870,7 @@ TEST(StructuralIndexConcurrencyTest, ConcurrentIndexProbes) {
         auto item_name = doc.pool()->Find("Item");
         ok &= item_name.has_value();
         if (item_name.has_value()) {
-          const std::vector<uint32_t>* occ = doc.NameOccurrences(*item_name);
-          ok &= occ != nullptr && occ->size() == 1;
+          ok &= doc.NameOccurrences(*item_name).size() == 1;
         }
         if (ok) ++ok_counts[t];
       }
