@@ -42,8 +42,8 @@
 #include <vector>
 
 #include "bench_out.h"
+#include "collection_size.h"
 #include "common/clock.h"
-#include "common/strings.h"
 #include "gen/virtual_store.h"
 #include "partix/scheduler.h"
 #include "workload/harness.h"
@@ -257,9 +257,9 @@ int main() {
 
   std::printf(
       "Concurrent-QPS bench - %zu fragments rf=%zu, emulated rpc %.1f ms\n"
-      "database: %zu documents, %s serialized; rounds/client: %zu%s\n",
+      "database: %zu documents, %s; rounds/client: %zu%s\n",
       kFragments, kReplicationFactor, kEmulatedRpcMs, items->size(),
-      HumanBytes(items->ApproxBytes()).c_str(), rounds,
+      bench::DescribeSize(*items).c_str(), rounds,
       smoke ? " (smoke)" : "");
 
   // Sequential baseline: the bytes every concurrent execution must match.

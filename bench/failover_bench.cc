@@ -42,7 +42,7 @@
 #include <vector>
 
 #include "bench_out.h"
-#include "common/strings.h"
+#include "collection_size.h"
 #include "gen/virtual_store.h"
 #include "partix/health.h"
 #include "partix/query_service.h"
@@ -408,9 +408,9 @@ int main() {
 
   std::printf(
       "Failover bench - %zu fragments rf=%zu on %zu nodes\n"
-      "database: %zu documents, %s serialized; runs: %zu\n",
+      "database: %zu documents, %s; runs: %zu\n",
       kFragments, kReplicationFactor, deployment->get()->node_count(),
-      items->size(), HumanBytes(items->ApproxBytes()).c_str(), runs);
+      items->size(), partix::bench::DescribeSize(*items).c_str(), runs);
 
   const std::vector<workload::QuerySpec> queries =
       workload::HorizontalQueries(items->name());

@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "common/strings.h"
+#include "collection_size.h"
 #include "gen/xbench.h"
 #include "workload/harness.h"
 #include "workload/queries.h"
@@ -37,7 +37,7 @@ int main() {
   std::printf(
       "Fig 7(c) - XBenchVer, vertical fragmentation "
       "(prolog/body/epilog)\ndatabase: %zu articles, %s\n",
-      articles->size(), HumanBytes(articles->ApproxBytes()).c_str());
+      articles->size(), bench::DescribeSize(*articles).c_str());
 
   const std::vector<workload::QuerySpec> queries =
       workload::VerticalQueries(articles->name());

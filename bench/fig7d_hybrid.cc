@@ -17,7 +17,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "common/strings.h"
+#include "collection_size.h"
 #include "gen/virtual_store.h"
 #include "workload/harness.h"
 #include "workload/queries.h"
@@ -41,7 +41,7 @@ int main() {
       "Fig 7(d) - StoreHyb, hybrid fragmentation, FragMode1 vs FragMode2, "
       "with (T) and without (NT) transmission\ndatabase: 1 store document, "
       "%s\n",
-      HumanBytes(store->ApproxBytes()).c_str());
+      bench::DescribeSize(*store).c_str());
 
   const std::vector<workload::QuerySpec> queries =
       workload::HybridQueries(store->name());

@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "common/strings.h"
+#include "collection_size.h"
 #include "gen/virtual_store.h"
 #include "workload/harness.h"
 #include "workload/queries.h"
@@ -32,8 +32,8 @@ inline int RunHorizontalExperiment(const std::string& title,
                  items.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s\ndatabase: %zu documents, %s serialized\n", title.c_str(),
-              items->size(), HumanBytes(items->ApproxBytes()).c_str());
+  std::printf("%s\ndatabase: %zu documents, %s\n", title.c_str(),
+              items->size(), DescribeSize(*items, /*charged=*/true).c_str());
 
   const std::vector<workload::QuerySpec> queries =
       workload::HorizontalQueries(items->name());
@@ -43,9 +43,10 @@ inline int RunHorizontalExperiment(const std::string& title,
   xdb::DatabaseOptions node_options;
   // The paper's regime: the centralized database does not fit the node's
   // working memory, while individual fragments do — the source of its
-  // superlinear speedups. Scale the parse cache with the database.
+  // superlinear speedups. Scale the parse cache with what the cache
+  // charges for the parsed database, not with its serialized size.
   node_options.cache_capacity_bytes = std::max<uint64_t>(
-      uint64_t{1} << 20, target_bytes / 6);
+      uint64_t{1} << 20, items->ApproxBytes() / 6);
   middleware::NetworkModel network;
 
   std::vector<std::string> series_names = {"centralized"};

@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "bench_out.h"
+#include "collection_size.h"
 #include "common/strings.h"
 #include "gen/virtual_store.h"
 #include "gen/xbench.h"
@@ -469,10 +470,10 @@ int main() {
   }
 
   std::printf(
-      "Memory-density bench%s - %zu documents, %s serialized, "
+      "Memory-density bench%s - %zu documents, %s, "
       "%zu fragments, %zu iterations\n",
       smoke ? " (smoke)" : "", items->size(),
-      HumanBytes(items->ApproxBytes()).c_str(), kFragments, iterations);
+      bench::DescribeSize(*items).c_str(), kFragments, iterations);
 
   // Phase A. Churn is measured on the article collection: its documents
   // are node-heavy (paper regime: MBs per article), so the parse arena —

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench_out.h"
+#include "collection_size.h"
 #include "common/strings.h"
 #include "gen/virtual_store.h"
 #include "partix/query_service.h"
@@ -192,9 +193,9 @@ int main() {
 
   std::printf(
       "Parallel speedup - Fig 7(a) workload, %zu fragments on %zu nodes\n"
-      "database: %zu documents, %s serialized; host cores: %u; runs: %zu\n",
+      "database: %zu documents, %s; host cores: %u; runs: %zu\n",
       kFragments, deployment->get()->node_count(), items->size(),
-      HumanBytes(items->ApproxBytes()).c_str(),
+      bench::DescribeSize(*items).c_str(),
       std::thread::hardware_concurrency(), runs);
 
   const std::vector<workload::QuerySpec> queries =

@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "bench_out.h"
-#include "common/strings.h"
+#include "collection_size.h"
 #include "gen/virtual_store.h"
 #include "partix/query_service.h"
 #include "telemetry/metrics.h"
@@ -152,9 +152,9 @@ int main() {
   }
 
   std::printf("Plan-cache bench - %zu fragments, hot loop of %zu run(s)\n"
-              "database: %zu documents, %s serialized\n",
+              "database: %zu documents, %s\n",
               kFragments, runs, items->size(),
-              HumanBytes(items->ApproxBytes()).c_str());
+              bench::DescribeSize(*items).c_str());
 
   const std::vector<workload::QuerySpec> queries =
       workload::HorizontalQueries(items->name());

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench_out.h"
+#include "collection_size.h"
 #include "common/strings.h"
 #include "engine/database.h"
 #include "fragmentation/algebra.h"
@@ -99,9 +100,9 @@ int main() {
 
   std::printf(
       "Structural-join bench - vertical design, %zu fragments\n"
-      "database: %zu articles, %s serialized, %zu run(s)\n\n",
+      "database: %zu articles, %s, %zu run(s)\n\n",
       schema->fragments.size(), articles->size(),
-      HumanBytes(articles->ApproxBytes()).c_str(), runs);
+      bench::DescribeSize(*articles).c_str(), runs);
 
   telemetry::MetricsRegistry::Global().set_enabled(true);
   telemetry::MetricsRegistry::Global().Reset();

@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "common/strings.h"
+#include "collection_size.h"
 #include "gen/virtual_store.h"
 #include "workload/harness.h"
 #include "workload/queries.h"
@@ -35,7 +35,7 @@ int main() {
   }
   std::printf("Speed-up table - ItemsSHor, horizontal fragmentation\n"
               "database: %zu documents, %s\n",
-              items->size(), HumanBytes(items->ApproxBytes()).c_str());
+              items->size(), bench::DescribeSize(*items).c_str());
 
   const std::vector<workload::QuerySpec> queries =
       workload::HorizontalQueries(items->name());

@@ -78,6 +78,16 @@ for config in "${configs[@]}"; do
     # wall on the union workload, and peak governed bytes below 80% of
     # the double-charge baseline.
     (cd "$dir"/bench && PARTIX_SMOKE=1 ./streaming_ttfb)
+    echo "== ${config}: concurrent QPS smoke =="
+    # Gates concurrent execution through one scheduler: byte-identical
+    # answers under concurrency, and the QPS scaling floor against the
+    # same clients serialized behind one slot.
+    (cd "$dir"/bench && PARTIX_SMOKE=1 ./concurrent_qps)
+    echo "== ${config}: self-healing chaos smoke =="
+    # Gates fault tolerance end to end: under node failures and 25%
+    # response corruption every corrupt block must be caught by its
+    # digest, and the answers must stay byte-identical.
+    (cd "$dir"/bench && PARTIX_SMOKE=1 ./failover_bench)
   fi
 done
 

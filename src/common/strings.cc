@@ -1,9 +1,12 @@
 #include "common/strings.h"
 
+#include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 namespace partix {
 
@@ -98,38 +101,48 @@ std::string FormatNumber(double v) {
 }
 
 namespace {
-std::string EscapeXml(std::string_view s, bool attr) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        if (attr) {
-          out += "&quot;";
-        } else {
-          out += c;
-        }
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
+
+/// Which bytes AppendEscapedXml replaces: kText for & < > (escaped
+/// everywhere), kAttr for the double quote (escaped in attribute values
+/// only).
+constexpr uint8_t kText = 1;
+constexpr uint8_t kAttr = 2;
+constexpr std::array<uint8_t, 256> kXmlEscapes = [] {
+  std::array<uint8_t, 256> table{};
+  table['&'] = kText | kAttr;
+  table['<'] = kText | kAttr;
+  table['>'] = kText | kAttr;
+  table['"'] = kAttr;
+  return table;
+}();
+
 }  // namespace
 
-std::string EscapeXmlText(std::string_view s) { return EscapeXml(s, false); }
-
-std::string EscapeXmlAttr(std::string_view s) { return EscapeXml(s, true); }
+void AppendEscapedXml(std::string_view s, bool attr, std::string* out) {
+  const uint8_t mask = attr ? kAttr : kText;
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if ((kXmlEscapes[static_cast<unsigned char>(c)] & mask) == 0) continue;
+    out->append(s.data() + run, i - run);
+    switch (c) {
+      case '&':
+        out->append("&amp;");
+        break;
+      case '<':
+        out->append("&lt;");
+        break;
+      case '>':
+        out->append("&gt;");
+        break;
+      default:
+        out->append("&quot;");
+        break;
+    }
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
+}
 
 std::string HumanBytes(uint64_t bytes) {
   static const char* kUnits[] = {"B", "KiB", "MiB", "GiB", "TiB"};
@@ -155,6 +168,83 @@ uint64_t Fnv1a64(std::string_view data, uint64_t seed) {
     h ^= static_cast<uint64_t>(c);
     h *= 1099511628211ull;
   }
+  return h;
+}
+
+namespace {
+
+constexpr uint64_t kXxPrime1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kXxPrime3 = 0x165667B19E3779F9ull;
+constexpr uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ull;
+constexpr uint64_t kXxPrime5 = 0x27D4EB2F165667C5ull;
+
+template <typename T>
+T ReadLittleEndian(const char* p) {
+  T v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    T swapped = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      swapped = (swapped << 8) | ((v >> (8 * i)) & 0xff);
+    }
+    v = swapped;
+  }
+  return v;
+}
+
+uint64_t XxRound(uint64_t acc, uint64_t input) {
+  acc += input * kXxPrime2;
+  return std::rotl(acc, 31) * kXxPrime1;
+}
+
+uint64_t XxMerge(uint64_t acc, uint64_t lane) {
+  acc ^= XxRound(0, lane);
+  return acc * kXxPrime1 + kXxPrime4;
+}
+
+}  // namespace
+
+uint64_t Xxh64(std::string_view data) {
+  const char* p = data.data();
+  const char* const end = p + data.size();
+  uint64_t h;
+  if (data.size() >= 32) {
+    uint64_t v1 = kXxPrime1 + kXxPrime2;
+    uint64_t v2 = kXxPrime2;
+    uint64_t v3 = 0;
+    uint64_t v4 = 0 - kXxPrime1;
+    for (; end - p >= 32; p += 32) {
+      v1 = XxRound(v1, ReadLittleEndian<uint64_t>(p));
+      v2 = XxRound(v2, ReadLittleEndian<uint64_t>(p + 8));
+      v3 = XxRound(v3, ReadLittleEndian<uint64_t>(p + 16));
+      v4 = XxRound(v4, ReadLittleEndian<uint64_t>(p + 24));
+    }
+    h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+        std::rotl(v4, 18);
+    h = XxMerge(XxMerge(XxMerge(XxMerge(h, v1), v2), v3), v4);
+  } else {
+    h = kXxPrime5;
+  }
+  h += data.size();
+  for (; end - p >= 8; p += 8) {
+    h ^= XxRound(0, ReadLittleEndian<uint64_t>(p));
+    h = std::rotl(h, 27) * kXxPrime1 + kXxPrime4;
+  }
+  if (end - p >= 4) {
+    h ^= ReadLittleEndian<uint32_t>(p) * kXxPrime1;
+    h = std::rotl(h, 23) * kXxPrime2 + kXxPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    h ^= static_cast<unsigned char>(*p) * kXxPrime5;
+    h = std::rotl(h, 11) * kXxPrime1;
+  }
+  h ^= h >> 33;
+  h *= kXxPrime2;
+  h ^= h >> 29;
+  h *= kXxPrime3;
+  h ^= h >> 32;
   return h;
 }
 

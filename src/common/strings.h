@@ -42,21 +42,27 @@ bool ParseInt64(std::string_view s, int64_t* out);
 /// decimal point, otherwise shortest round-trip representation.
 std::string FormatNumber(double v);
 
-/// Escapes XML text content: & < > (quotes are left alone in text).
-std::string EscapeXmlText(std::string_view s);
-
-/// Escapes XML attribute values (also escapes double quotes).
-std::string EscapeXmlAttr(std::string_view s);
+/// Appends `s` to `*out` with & < > escaped as entities, and also double
+/// quotes when `attr` is set (an attribute value); quotes in text content
+/// are left alone. Runs of bytes that need no escaping go out in one
+/// append, so escaping costs about what copying does.
+void AppendEscapedXml(std::string_view s, bool attr, std::string* out);
 
 /// Human-readable byte size, e.g. "2.5 MiB".
 std::string HumanBytes(uint64_t bytes);
 
 /// 64-bit FNV-1a over `data`, folded into `seed` (pass the previous hash
 /// to chain multiple pieces; the default is the canonical offset basis).
-/// Used for content digests: response integrity checks and fragment
-/// replica scrubbing hash serialized XML with this.
+/// The digest of content at rest: fragment content digests (the
+/// manifest's `digest=` field), replica scrubbing and repair verification
+/// hash stored XML with this, so its values must never change.
 uint64_t Fnv1a64(std::string_view data,
                  uint64_t seed = 14695981039346656037ull);
+
+/// XXH64 of `data` with seed 0, reading 8-byte little-endian words. The
+/// digest of result blocks in flight, which nothing stores: over an 8 MB
+/// block it runs ~13x faster than FNV-1a's byte-serial loop.
+uint64_t Xxh64(std::string_view data);
 
 /// Fixed-width lowercase hex rendering of a 64-bit hash (16 digits).
 std::string HashHex(uint64_t value);

@@ -132,10 +132,13 @@ struct QueryResult {
 struct ResultBlock {
   xquery::Sequence items;
   std::string serialized;
-  /// FNV-1a of `serialized`, stamped by the driver before the block
-  /// crosses the simulated wire (0 = no digest). The executor verifies
-  /// every stamped block and treats a mismatch as a retryable corrupt
-  /// response (see docs/fault-tolerance.md).
+  /// XXH64 of `serialized` (common/strings.h Xxh64), stamped by the
+  /// driver before the block crosses the simulated wire (0 = no digest).
+  /// The executor hashes the bytes it received once: with integrity
+  /// checks on, a mismatch with the stamp is a retryable corrupt
+  /// response (see docs/fault-tolerance.md); either way its own hash
+  /// replaces the stamp before the block enters the BlockChannel, which
+  /// keeps it as the replay record.
   uint64_t digest = 0;
 };
 

@@ -101,7 +101,7 @@ class LocalSubQueryStream : public SubQueryStream {
     Stopwatch engine_watch;
     Result<bool> more = cursor_->Next(out);
     engine_ms_ += engine_watch.ElapsedMillis();
-    if (more.ok() && *more) out->digest = Fnv1a64(out->serialized);
+    if (more.ok() && *more) out->digest = Xxh64(out->serialized);
     return more;
   }
 

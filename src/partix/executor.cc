@@ -456,8 +456,11 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
         xdb::ResultBlock block;
         PARTIX_ASSIGN_OR_RETURN(const bool more, stream->Next(&block));
         if (!more) break;
+        // One hash of the bytes received both checks the node's stamp and
+        // becomes the channel's replay record (BlockChannel::Push).
+        const uint64_t received = Xxh64(block.serialized);
         if (options.verify_response_digests && block.digest != 0 &&
-            Fnv1a64(block.serialized) != block.digest) {
+            received != block.digest) {
           ++out->corrupt_responses;
           counters.corrupt_responses->Add();
           if (attempt_span != nullptr) attempt_span->AddTag("corrupt", "true");
@@ -465,6 +468,7 @@ void Executor::RunOne(const SubQuery& sub, size_t index,
                                      std::to_string(node) +
                                      " (digest mismatch)");
         }
+        block.digest = received;
         // A failed push is non-retryable by design (replay divergence).
         PARTIX_RETURN_IF_ERROR(channel->Push(index, std::move(block)));
         if (attempt_budget_ms > 0.0 &&

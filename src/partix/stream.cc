@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "common/strings.h"
 #include "telemetry/metrics.h"
 
 namespace partix::middleware {
@@ -82,10 +81,10 @@ void BlockChannel::BeginAttempt(size_t i) {
 }
 
 Status BlockChannel::Push(size_t i, xdb::ResultBlock block) {
-  // Digest of the actual bytes (not the stamped field, which a corrupted
-  // wire leaves stale): the replay record must pin what the consumer
-  // really received.
-  const uint64_t digest = Fnv1a64(block.serialized);
+  // The executor's hash of the bytes received (see Push's precondition),
+  // never the node's stamp, which a corrupted wire leaves stale: the
+  // replay record must pin what the consumer really received.
+  const uint64_t digest = block.digest;
   const size_t bytes = block.serialized.size();
   // Charge BEFORE the block can become visible to the pop side. Pull /
   // DrainDiscard / the destructor release a block's bytes as they pop

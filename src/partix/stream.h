@@ -66,6 +66,11 @@ class BlockChannel {
   /// replaying a failover prefix). Blocks while the channel is over its
   /// byte cap and `i` is not the lane the consumer is draining. Fails
   /// with kInternal on replay divergence — non-retryable.
+  ///
+  /// Precondition: `block.digest` is Xxh64 of `block.serialized`, the
+  /// bytes being pushed — the channel records it as the replay record
+  /// without hashing again. The executor computes it from the bytes it
+  /// received, whatever the node stamped.
   Status Push(size_t i, xdb::ResultBlock block);
 
   /// Ends lane `i` with the sub-query's final status. Called exactly once
@@ -96,8 +101,9 @@ class BlockChannel {
  private:
   struct Lane {
     std::deque<xdb::ResultBlock> queue;
-    /// FNV-1a of every block ever committed, in commit order — the
-    /// replay-verification record for failover.
+    /// The pushed digest (XXH64 of the bytes) of every block ever
+    /// committed, in commit order — the replay-verification record for
+    /// failover.
     std::vector<uint64_t> digests;
     uint64_t committed = 0;
     uint64_t replay_pos = 0;

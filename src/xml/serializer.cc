@@ -16,7 +16,7 @@ void SerializeNode(const Document& doc, NodeId n, const SerializeOptions& opt,
 
   switch (doc.kind(n)) {
     case NodeKind::kText:
-      out->append(EscapeXmlText(doc.value(n)));
+      AppendEscapedXml(doc.value(n), /*attr=*/false, out);
       return;
     case NodeKind::kAttribute:
       // Attributes are emitted by their owner element.
@@ -28,21 +28,22 @@ void SerializeNode(const Document& doc, NodeId n, const SerializeOptions& opt,
   write_indent(depth);
   out->push_back('<');
   out->append(doc.name(n));
-  for (NodeId a : doc.Attributes(n)) {
-    out->push_back(' ');
-    out->append(doc.name(a));
-    out->append("=\"");
-    out->append(EscapeXmlAttr(doc.value(a)));
-    out->push_back('"');
-  }
 
-  // Partition children: text content is serialized inline; elements are
-  // serialized nested (possibly indented).
+  // One pass over the children writes the attributes into the start tag
+  // and partitions the rest: text content is serialized inline; elements
+  // are serialized nested (possibly indented).
   bool has_child = false;
   bool has_element_child = false;
   for (NodeId c = doc.first_child(n); c != kNullNode;
        c = doc.next_sibling(c)) {
-    if (doc.kind(c) == NodeKind::kAttribute) continue;
+    if (doc.kind(c) == NodeKind::kAttribute) {
+      out->push_back(' ');
+      out->append(doc.name(c));
+      out->append("=\"");
+      AppendEscapedXml(doc.value(c), /*attr=*/true, out);
+      out->push_back('"');
+      continue;
+    }
     has_child = true;
     if (doc.kind(c) == NodeKind::kElement) has_element_child = true;
   }
@@ -69,13 +70,11 @@ std::string Serialize(const Document& doc, const SerializeOptions& options) {
   std::string out;
   if (options.declaration) {
     out = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
-    if (options.indent) out.push_back('\n');
+    // With indentation the root's own indent starts a new line after the
+    // declaration; an empty document still ends that line.
+    if (options.indent && doc.empty()) out.push_back('\n');
   }
-  if (!doc.empty()) {
-    std::string body;
-    SerializeNode(doc, doc.root(), options, 0, &body);
-    out += body;
-  }
+  if (!doc.empty()) SerializeNode(doc, doc.root(), options, 0, &out);
   return out;
 }
 

@@ -101,7 +101,9 @@ std::string ExprToString(const Expr& e) {
     const auto& c = e.As<ElementCtor>();
     out = "<" + c.name;
     for (const auto& [name, value] : c.attributes) {
-      out += " " + name + "=\"" + EscapeXmlAttr(value) + "\"";
+      out += " " + name + "=\"";
+      AppendEscapedXml(value, /*attr=*/true, &out);
+      out += "\"";
     }
     out += ">";
     for (size_t i = 0; i < c.content.size(); ++i) {

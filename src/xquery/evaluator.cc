@@ -103,6 +103,32 @@ EvalContext ForkContext(const EvalContext& ctx) {
   return out;
 }
 
+/// Restores, on scope exit, what a variable name was bound to before the
+/// FLWOR or quantifier clause that binds it (or unbinds it if it was
+/// free), so a clause may shadow an outer variable of the same name.
+class ShadowedVariable {
+ public:
+  ShadowedVariable(EvalContext& ctx, const std::string& name)
+      : ctx_(ctx), name_(name) {
+    auto it = ctx.variables.find(name);
+    if (it != ctx.variables.end()) saved_ = std::move(it->second);
+  }
+  ~ShadowedVariable() {
+    if (saved_.has_value()) {
+      ctx_.variables[name_] = std::move(*saved_);
+    } else {
+      ctx_.variables.erase(name_);
+    }
+  }
+  ShadowedVariable(const ShadowedVariable&) = delete;
+  ShadowedVariable& operator=(const ShadowedVariable&) = delete;
+
+ private:
+  EvalContext& ctx_;
+  const std::string& name_;
+  std::optional<Sequence> saved_;
+};
+
 }  // namespace
 
 Evaluator::Evaluator(CollectionResolver* resolver,
@@ -136,6 +162,25 @@ Result<EvalStreamPtr> Evaluator::OpenStream(const Expr& query,
   auto stream = EvalStreamPtr(new EvalStream(this, &query));
   stream->ctx_.variables = variables_;
   stream->ctx_.context_stack = context_stack_;
+  // A FLWOR without order by whose first clause is a for: its bindings
+  // are evaluated up front and expanded through the remaining clauses as
+  // the consumer pulls — the first block's bindings first, then all the
+  // rest at once, so the bulk still forks in one piece. Binding tuples
+  // expand independently and in order, so the batches concatenate to
+  // EvalFlwor's result.
+  if (query.Is<FlworExpr>()) {
+    const FlworExpr& flwor = query.As<FlworExpr>();
+    if (flwor.order_by == nullptr && !flwor.clauses.empty() &&
+        !flwor.clauses.front().is_let) {
+      PARTIX_ASSIGN_OR_RETURN(
+          stream->context_,
+          EvalExpr(stream->ctx_, *flwor.clauses.front().expr));
+      stream->mode_ = EvalStream::Mode::kForBindings;
+      stream->flwor_ = &flwor;
+      stream->slice_ = std::max<size_t>(block_items, 1);
+    }
+    return stream;
+  }
   // Lazy only for the relative-path shape: the source (typically
   // collection("...")) is evaluated up front; the steps run per slice.
   // DisjointSubtrees is the same precondition the morsel fork uses, and
@@ -147,7 +192,7 @@ Result<EvalStreamPtr> Evaluator::OpenStream(const Expr& query,
     PARTIX_ASSIGN_OR_RETURN(stream->context_,
                             EvalExpr(stream->ctx_, *path.source));
     if (DisjointSubtrees(stream->context_)) {
-      stream->lazy_ = true;
+      stream->mode_ = EvalStream::Mode::kPathSlices;
       stream->steps_ = &path.steps;
       // A slice holds whole morsels for every worker, and at least one
       // consumer block: a slice any smaller would fork for a handful of
@@ -156,17 +201,14 @@ Result<EvalStreamPtr> Evaluator::OpenStream(const Expr& query,
           std::max(block_items, MorselWorkers() * kMorselGrain);
       return stream;
     }
-    // Non-disjoint source: fall through to materialized batches, reusing
-    // the already-evaluated source.
+    // Non-disjoint source: fall through to one materialized batch,
+    // reusing the already-evaluated source.
     Result<Sequence> all = EvalSteps(stream->ctx_, std::move(stream->context_),
                                      path.steps, 0);
     stream->context_.clear();
     PARTIX_RETURN_IF_ERROR(all.status());
     stream->context_ = std::move(*all);
-    stream->lazy_ = true;  // drain context_ as one batch
-    stream->steps_ = nullptr;
-    stream->slice_ = 0;
-    return stream;
+    stream->mode_ = EvalStream::Mode::kParked;
   }
   return stream;
 }
@@ -174,36 +216,53 @@ Result<EvalStreamPtr> Evaluator::OpenStream(const Expr& query,
 Result<bool> EvalStream::Next(Sequence* out) {
   out->clear();
   if (done_) return false;
-  if (!lazy_) {
-    // Whole-expression fallback: one materialized batch.
-    done_ = true;
-    Result<Sequence> all = eval_->EvalExpr(ctx_, *query_);
-    PARTIX_RETURN_IF_ERROR(all.status());
-    *out = std::move(*all);
-    return !out->empty();
-  }
-  if (steps_ == nullptr) {
-    // Pre-materialized result parked in context_ (non-disjoint source).
-    done_ = true;
-    *out = std::move(context_);
-    context_.clear();
-    return !out->empty();
-  }
-  while (pos_ < context_.size()) {
-    const size_t take = std::min(slice_, context_.size() - pos_);
-    Sequence slice(context_.begin() + static_cast<ptrdiff_t>(pos_),
-                   context_.begin() + static_cast<ptrdiff_t>(pos_ + take));
-    pos_ += take;
-    Result<Sequence> batch =
-        eval_->EvalSteps(ctx_, std::move(slice), *steps_, 0);
-    if (!batch.ok()) {
+  switch (mode_) {
+    case Mode::kWhole: {
       done_ = true;
-      return batch.status();
+      Result<Sequence> all = eval_->EvalExpr(ctx_, *query_);
+      PARTIX_RETURN_IF_ERROR(all.status());
+      *out = std::move(*all);
+      return !out->empty();
     }
-    if (!batch->empty()) {
-      *out = std::move(*batch);
-      return true;
-    }
+    case Mode::kParked:
+      done_ = true;
+      *out = std::move(context_);
+      context_.clear();
+      return !out->empty();
+    case Mode::kPathSlices:
+      while (pos_ < context_.size()) {
+        const size_t take = std::min(slice_, context_.size() - pos_);
+        Sequence slice(
+            context_.begin() + static_cast<ptrdiff_t>(pos_),
+            context_.begin() + static_cast<ptrdiff_t>(pos_ + take));
+        pos_ += take;
+        Result<Sequence> batch =
+            eval_->EvalSteps(ctx_, std::move(slice), *steps_, 0);
+        if (!batch.ok()) {
+          done_ = true;
+          return batch.status();
+        }
+        if (!batch->empty()) {
+          *out = std::move(*batch);
+          return true;
+        }
+      }
+      break;
+    case Mode::kForBindings:
+      while (pos_ < context_.size()) {
+        const size_t end =
+            pos_ == 0 ? std::min(slice_, context_.size()) : context_.size();
+        Status status = eval_->ExpandForBindings(ctx_, *flwor_, 0, context_,
+                                                 pos_, end, out, nullptr);
+        pos_ = end;
+        if (!status.ok()) {
+          done_ = true;
+          out->clear();
+          return status;
+        }
+        if (!out->empty()) return true;
+      }
+      break;
   }
   done_ = true;
   return false;
@@ -602,13 +661,11 @@ Result<Sequence> Evaluator::EvalFlwor(EvalContext& ctx,
                                       const FlworExpr& flwor) const {
   Sequence out;
   if (flwor.order_by == nullptr) {
-    PARTIX_RETURN_IF_ERROR(
-        EvalFlworClauses(ctx, flwor, 0, &out, nullptr).status());
+    PARTIX_RETURN_IF_ERROR(EvalFlworClauses(ctx, flwor, 0, &out, nullptr));
     return out;
   }
   std::vector<std::pair<Item, Sequence>> keyed;
-  PARTIX_RETURN_IF_ERROR(
-      EvalFlworClauses(ctx, flwor, 0, nullptr, &keyed).status());
+  PARTIX_RETURN_IF_ERROR(EvalFlworClauses(ctx, flwor, 0, nullptr, &keyed));
   std::stable_sort(keyed.begin(), keyed.end(),
                    [&](const auto& a, const auto& b) {
                      return flwor.order_descending
@@ -621,14 +678,14 @@ Result<Sequence> Evaluator::EvalFlwor(EvalContext& ctx,
   return out;
 }
 
-Result<Sequence> Evaluator::EvalFlworClauses(
+Status Evaluator::EvalFlworClauses(
     EvalContext& ctx, const FlworExpr& flwor, size_t clause_idx,
     Sequence* out, std::vector<std::pair<Item, Sequence>>* keyed) const {
   if (clause_idx == flwor.clauses.size()) {
     if (flwor.where != nullptr) {
       PARTIX_ASSIGN_OR_RETURN(Sequence cond, EvalExpr(ctx, *flwor.where));
       PARTIX_ASSIGN_OR_RETURN(bool b, EffectiveBooleanValue(cond));
-      if (!b) return Sequence{};
+      if (!b) return Status::Ok();
     }
     if (keyed != nullptr) {
       PARTIX_ASSIGN_OR_RETURN(Sequence key_seq,
@@ -636,38 +693,50 @@ Result<Sequence> Evaluator::EvalFlworClauses(
       Item key = key_seq.empty() ? Item(std::string()) : key_seq[0];
       PARTIX_ASSIGN_OR_RETURN(Sequence items, EvalExpr(ctx, *flwor.ret));
       keyed->emplace_back(std::move(key), std::move(items));
-      return Sequence{};
+      return Status::Ok();
     }
     PARTIX_ASSIGN_OR_RETURN(Sequence items, EvalExpr(ctx, *flwor.ret));
     for (Item& item : items) out->push_back(std::move(item));
-    return Sequence{};
+    return Status::Ok();
   }
   const ForLetClause& clause = flwor.clauses[clause_idx];
   PARTIX_ASSIGN_OR_RETURN(Sequence binding, EvalExpr(ctx, *clause.expr));
+  if (!clause.is_let) {
+    return ExpandForBindings(ctx, flwor, clause_idx, binding, 0,
+                             binding.size(), out, keyed);
+  }
+  ShadowedVariable scope(ctx, clause.var);
+  ctx.variables[clause.var] = std::move(binding);
+  return EvalFlworClauses(ctx, flwor, clause_idx + 1, out, keyed);
+}
 
+Status Evaluator::ExpandForBindings(
+    EvalContext& ctx, const FlworExpr& flwor, size_t clause_idx,
+    const Sequence& binding, size_t begin, size_t end, Sequence* out,
+    std::vector<std::pair<Item, Sequence>>* keyed) const {
+  const ForLetClause& clause = flwor.clauses[clause_idx];
   // Morsel fork: a for-clause binds each item independently, so the
-  // binding sequence splits into morsels whose tuple expansions run on
-  // the shared pool. Each morsel collects its output (or order-by
-  // buffer) locally and parks it in its own slot once; morsel-order
-  // stitching reproduces the sequential tuple order exactly.
-  const size_t morsels =
-      clause.is_let ? 0 : MorselCount(ctx, binding.size());
+  // binding range splits into morsels whose tuple expansions run on the
+  // shared pool. Each morsel collects its output (or order-by buffer)
+  // locally and parks it in its own slot once; morsel-order stitching
+  // reproduces the sequential tuple order exactly.
+  const size_t morsels = MorselCount(ctx, end - begin);
   if (morsels > 0) {
     std::vector<Status> morsel_status(morsels, Status::Ok());
     std::vector<Sequence> morsel_out(morsels);
     std::vector<std::vector<std::pair<Item, Sequence>>> morsel_keyed(morsels);
     RunMorsels(ctx, morsels, [&](EvalContext& mc, size_t m) {
-      const auto [begin, end] = MorselRange(m, binding.size());
+      const auto [first, last] = MorselRange(m, end - begin);
       Sequence local_out;
       std::vector<std::pair<Item, Sequence>> local_keyed;
-      for (size_t i = begin; i < end; ++i) {
+      for (size_t i = begin + first; i < begin + last; ++i) {
         mc.variables[clause.var] = Sequence{binding[i]};
-        Result<Sequence> r = EvalFlworClauses(
+        Status status = EvalFlworClauses(
             mc, flwor, clause_idx + 1,
             keyed == nullptr ? &local_out : nullptr,
             keyed == nullptr ? nullptr : &local_keyed);
-        if (!r.ok()) {
-          morsel_status[m] = r.status();
+        if (!status.ok()) {
+          morsel_status[m] = std::move(status);
           break;
         }
       }
@@ -684,39 +753,15 @@ Result<Sequence> Evaluator::EvalFlworClauses(
         for (auto& kv : morsel_keyed[m]) keyed->push_back(std::move(kv));
       }
     }
-    return Sequence{};
+    return Status::Ok();
   }
-
-  // Save and restore any shadowed variable.
-  auto saved = ctx.variables.find(clause.var);
-  bool had_saved = saved != ctx.variables.end();
-  Sequence saved_value;
-  if (had_saved) saved_value = saved->second;
-
-  Status status = Status::Ok();
-  if (clause.is_let) {
-    ctx.variables[clause.var] = std::move(binding);
-    Result<Sequence> r =
-        EvalFlworClauses(ctx, flwor, clause_idx + 1, out, keyed);
-    if (!r.ok()) status = r.status();
-  } else {
-    for (Item& item : binding) {
-      ctx.variables[clause.var] = Sequence{item};
-      Result<Sequence> r =
-          EvalFlworClauses(ctx, flwor, clause_idx + 1, out, keyed);
-      if (!r.ok()) {
-        status = r.status();
-        break;
-      }
-    }
+  ShadowedVariable scope(ctx, clause.var);
+  for (size_t i = begin; i < end; ++i) {
+    ctx.variables[clause.var] = Sequence{binding[i]};
+    PARTIX_RETURN_IF_ERROR(
+        EvalFlworClauses(ctx, flwor, clause_idx + 1, out, keyed));
   }
-  if (had_saved) {
-    ctx.variables[clause.var] = std::move(saved_value);
-  } else {
-    ctx.variables.erase(clause.var);
-  }
-  PARTIX_RETURN_IF_ERROR(status);
-  return Sequence{};
+  return Status::Ok();
 }
 
 Result<bool> Evaluator::EvalQuantified(EvalContext& ctx,
@@ -729,33 +774,15 @@ Result<bool> Evaluator::EvalQuantified(EvalContext& ctx,
   }
   const ForLetClause& clause = quantified.bindings[binding_idx];
   PARTIX_ASSIGN_OR_RETURN(Sequence binding, EvalExpr(ctx, *clause.expr));
-  auto saved = ctx.variables.find(clause.var);
-  bool had_saved = saved != ctx.variables.end();
-  Sequence saved_value;
-  if (had_saved) saved_value = saved->second;
-
+  ShadowedVariable scope(ctx, clause.var);
   // some: true if any tuple satisfies; every: false if any tuple fails.
-  bool result = quantified.is_every;
-  Status status = Status::Ok();
   for (Item& item : binding) {
     ctx.variables[clause.var] = Sequence{item};
-    Result<bool> r = EvalQuantified(ctx, quantified, binding_idx + 1);
-    if (!r.ok()) {
-      status = r.status();
-      break;
-    }
-    if (*r != quantified.is_every) {
-      result = !quantified.is_every;
-      break;
-    }
+    PARTIX_ASSIGN_OR_RETURN(bool satisfied,
+                            EvalQuantified(ctx, quantified, binding_idx + 1));
+    if (satisfied != quantified.is_every) return !quantified.is_every;
   }
-  if (had_saved) {
-    ctx.variables[clause.var] = std::move(saved_value);
-  } else {
-    ctx.variables.erase(clause.var);
-  }
-  PARTIX_RETURN_IF_ERROR(status);
-  return result;
+  return quantified.is_every;
 }
 
 Status Evaluator::BuildContent(EvalContext& ctx, const Sequence& content,

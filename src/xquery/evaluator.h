@@ -75,9 +75,10 @@ struct EvalStats {
   /// Morsels run by intra-node forks, and how many of them a helper
   /// thread claimed rather than the forking thread. `morsels` depends on
   /// the iteration sizes, the worker count (0 below two workers) and, in
-  /// a lazy path stream, the block size (which sets the slice size), so
-  /// it repeats exactly from run to run when those are fixed;
-  /// `helper_morsels` (<= morsels) depends on which threads were free.
+  /// a lazy stream, the block size (which sets a path stream's slice
+  /// size and the bindings a FLWOR stream expands first), so it repeats
+  /// exactly from run to run when those are fixed; `helper_morsels`
+  /// (<= morsels) depends on which threads were free.
   uint64_t morsels = 0;
   uint64_t helper_morsels = 0;
 
@@ -201,17 +202,25 @@ class Evaluator {
   Result<Sequence> Eval(const Expr& query);
 
   /// Opens a pull-based batched evaluation of `query`. The batches a
-  /// stream yields, concatenated in order, are item- and stats-identical
-  /// to one Eval() of the same query. Path expressions with an evaluated
-  /// source whose items root pairwise-disjoint subtrees (the common
-  /// collection("...")/step... shape) stream lazily — the remaining steps
-  /// run slice-by-slice as the consumer pulls; every other expression
-  /// materializes on the first Next(). A lazy stream evaluates slices of
-  /// max(`block_items`, workers x kMorselGrain) source items, so a slice
-  /// covers at least one of the consumer's blocks and, with morsels on,
-  /// a whole morsel for every worker. The evaluator and `query` must
-  /// outlive the stream; one stream per thread (create, drain, destroy on
-  /// the same thread when the resolver is lock-bound, as the engine's is).
+  /// stream yields, concatenated in order, are item-identical to one
+  /// Eval() of the same query, and so are the stats except `morsels`
+  /// (see EvalStats). Two shapes stream lazily, with their source
+  /// evaluated at open:
+  ///   - a path expression whose evaluated source items root
+  ///     pairwise-disjoint subtrees (the common collection("...")/step...
+  ///     shape) runs its remaining steps over slices of
+  ///     max(`block_items`, workers x kMorselGrain) source items, so a
+  ///     slice covers at least one of the consumer's blocks and, with
+  ///     morsels on, a whole morsel for every worker;
+  ///   - a FLWOR without order by whose first clause is a for expands
+  ///     the first `block_items` bindings through the remaining clauses
+  ///     on the first Next(), and all the rest on the second, so the
+  ///     first block is out after a block's worth of work while the bulk
+  ///     still forks once.
+  /// Every other expression materializes on the first Next(). The
+  /// evaluator and `query` must outlive the stream; one stream per
+  /// thread (create, drain, destroy on the same thread when the resolver
+  /// is lock-bound, as the engine's is).
   Result<EvalStreamPtr> OpenStream(const Expr& query,
                                    size_t block_items) const;
 
@@ -229,9 +238,17 @@ class Evaluator {
   /// Recursive clause expansion. When `keyed` is non-null (order by), each
   /// binding tuple's (sort key, result chunk) is buffered there instead of
   /// being appended to `out`.
-  Result<Sequence> EvalFlworClauses(
+  Status EvalFlworClauses(
       EvalContext& ctx, const FlworExpr& flwor, size_t clause_idx,
       Sequence* out, std::vector<std::pair<Item, Sequence>>* keyed) const;
+  /// Expands the for-clause `clause_idx` over the bindings [begin, end) of
+  /// `binding`: binds each in turn and expands the clauses after it into
+  /// `out` or `keyed` as EvalFlworClauses does, forking into morsels
+  /// when the range is big enough (MorselCount).
+  Status ExpandForBindings(
+      EvalContext& ctx, const FlworExpr& flwor, size_t clause_idx,
+      const Sequence& binding, size_t begin, size_t end, Sequence* out,
+      std::vector<std::pair<Item, Sequence>>* keyed) const;
   Result<Sequence> EvalElementCtor(EvalContext& ctx,
                                    const ElementCtor& ctor) const;
   Result<bool> EvalQuantified(EvalContext& ctx,
@@ -321,16 +338,24 @@ class EvalStream {
   EvalStream(const Evaluator* eval, const Expr* query)
       : eval_(eval), query_(query) {}
 
+  /// What Next() does (see OpenStream): evaluate the whole query once,
+  /// hand out a result computed at open, run a path's steps over slices
+  /// of its source, or expand a FLWOR's leading for-clause.
+  enum class Mode { kWhole, kParked, kPathSlices, kForBindings };
+
   const Evaluator* eval_;
   const Expr* query_;
   EvalContext ctx_;
-  /// Lazy path mode: `context_` holds the evaluated source items (roots
-  /// of disjoint subtrees); Next() runs `steps_` over `slice_`-item
-  /// slices from `pos_` (see OpenStream for the size).
-  bool lazy_ = false;
+  Mode mode_ = Mode::kWhole;
+  /// kParked: the result. kPathSlices: the evaluated source items (roots
+  /// of disjoint subtrees), of which Next() runs `steps_` over
+  /// `slice_`-item slices from `pos_`. kForBindings: the for-clause's
+  /// bindings, of which the first Next() expands `slice_` and the second
+  /// all the rest, through `flwor_`'s remaining clauses.
   Sequence context_;
   size_t pos_ = 0;
   const std::vector<AxisStep>* steps_ = nullptr;
+  const FlworExpr* flwor_ = nullptr;
   size_t slice_ = 1;
   bool done_ = false;
 };

@@ -103,8 +103,45 @@ TEST(StringsTest, FormatNumber) {
 }
 
 TEST(StringsTest, XmlEscaping) {
-  EXPECT_EQ(EscapeXmlText("a<b&c>d\"e"), "a&lt;b&amp;c&gt;d\"e");
-  EXPECT_EQ(EscapeXmlAttr("a\"b"), "a&quot;b");
+  auto escaped = [](std::string_view s, bool attr) {
+    std::string out = "[";
+    AppendEscapedXml(s, attr, &out);
+    return out;
+  };
+  EXPECT_EQ(escaped("a<b&c>d\"e", false), "[a&lt;b&amp;c&gt;d\"e");
+  EXPECT_EQ(escaped("a\"b", true), "[a&quot;b");
+  EXPECT_EQ(escaped("", true), "[");
+}
+
+TEST(StringsTest, Xxh64MatchesPublishedVectors) {
+  EXPECT_EQ(HashHex(Xxh64("")), "ef46db3751d8e999");
+  EXPECT_EQ(HashHex(Xxh64("abc")), "44bc2cf5ad770999");
+  EXPECT_EQ(HashHex(Xxh64("xxhash")), "32dd38952c4bc720");
+  // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tails.
+  EXPECT_EQ(HashHex(Xxh64("Nobody inspects the spammish repetition")),
+            "fbcea83c8a378bf1");
+  // Every single-bit flip changes the digest, for every length through
+  // the stripe, word and byte tails, and for a buffer of many stripes.
+  auto every_flip_changes = [](std::string buffer) {
+    const uint64_t clean = Xxh64(buffer);
+    for (size_t byte = 0; byte < buffer.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        buffer[byte] = static_cast<char>(buffer[byte] ^ (1 << bit));
+        if (Xxh64(buffer) == clean) return false;
+        buffer[byte] = static_cast<char>(buffer[byte] ^ (1 << bit));
+      }
+    }
+    return true;
+  };
+  Rng rng(19);
+  for (size_t size = 0; size <= 100; ++size) {
+    std::string buffer(size, '\0');
+    for (char& c : buffer) c = static_cast<char>(rng.NextBelow(256));
+    EXPECT_TRUE(every_flip_changes(buffer)) << size << " bytes";
+  }
+  std::string page(4096, '\0');
+  for (char& c : page) c = static_cast<char>(rng.NextBelow(256));
+  EXPECT_TRUE(every_flip_changes(page));
 }
 
 TEST(StringsTest, HumanBytes) {

@@ -1,6 +1,7 @@
 #include <set>
 
 #include "gen/virtual_store.h"
+#include "common/strings.h"
 #include "gen/xbench.h"
 #include "gtest/gtest.h"
 #include "xml/serializer.h"
@@ -213,6 +214,42 @@ TEST(XBenchGeneratorTest, BodyDominatesBytes) {
   size_t body_bytes = xml::SerializeSubtree(doc, body[0]).size();
   size_t total = xml::Serialize(doc).size();
   EXPECT_GT(body_bytes, total * 2 / 3);
+}
+
+// Serialization bytes pinned to values computed before the serializer
+// started escaping in place: a generated Store, XBench articles and
+// ItemsSHor Items must keep every byte.
+TEST(SerializerTest, GeneratedDocumentsKeepTheirBytes) {
+  auto digest = [](const xml::Collection& c, const xml::SerializeOptions& o) {
+    uint64_t h = Fnv1a64("");
+    for (const xml::DocumentPtr& doc : c.docs()) {
+      h = Fnv1a64(xml::Serialize(*doc, o), h);
+    }
+    return HashHex(h);
+  };
+  StoreGenOptions store_options;
+  store_options.seed = 5;
+  store_options.item_count = 24;
+  store_options.large_items = true;
+  auto store = GenerateStore(store_options, nullptr);
+  ASSERT_TRUE(store.ok()) << store.status();
+  xml::SerializeOptions pretty;
+  pretty.declaration = true;
+  pretty.indent = true;
+  EXPECT_EQ(digest(*store, {}), "ef55a4614ce7bbdb");
+  EXPECT_EQ(digest(*store, pretty), "df3c7dd187890794");
+
+  XBenchGenOptions article_options;
+  article_options.doc_count = 4;
+  auto articles = GenerateArticles(article_options, nullptr);
+  ASSERT_TRUE(articles.ok()) << articles.status();
+  EXPECT_EQ(digest(*articles, {}), "7ac203cab7b6f838");
+
+  ItemsGenOptions item_options;
+  item_options.doc_count = 200;
+  auto items = GenerateItems(item_options, nullptr);
+  ASSERT_TRUE(items.ok()) << items.status();
+  EXPECT_EQ(digest(*items, {}), "597c6a41e5df028f");
 }
 
 }  // namespace

@@ -445,6 +445,33 @@ TEST_F(ReplicatedStreamingTest, FailoverMidStreamKeepsAnswerByteIdentical) {
                                             before.discarded));
 }
 
+TEST_F(ReplicatedStreamingTest, ReplayRecordsReceivedBytesWhenIntegrityIsOff) {
+  // Node 1 (f_DVD primary) forwards one block and dies; its replica on
+  // node 2 mangles that first block in flight. With integrity checks off
+  // nothing compares the stamp, so only the channel's replay record can
+  // notice that the replica's prefix differs from what the consumer
+  // already holds. The record must pin the bytes received — a record of
+  // the stale stamp would match and silently drop the mangled block.
+  FaultProfile fails;
+  fails.fail_stream_after_blocks = 1;
+  cluster_.SetFaultProfile(1, fails);
+  FaultProfile corrupts;
+  corrupts.response_corruption_rate = 1.0;
+  cluster_.SetFaultProfile(2, corrupts);
+
+  ExecutionOptions streaming;
+  streaming.retry = FastRetry(3);
+  streaming.stream_block_items = 1;
+  streaming.verify_integrity = false;
+  auto result = service_.Execute(kDvdNamesQuery, streaming);
+
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("replica stream prefix diverged"),
+            std::string::npos)
+      << result.status();
+}
+
 // --- commit barrier under kReturnPartial ---------------------------------
 
 TEST_F(UnreplicatedStreamingTest, ReturnPartialDiscardsFailedLanePrefix) {

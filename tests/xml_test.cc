@@ -1,4 +1,6 @@
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "xml/compare.h"
@@ -193,6 +195,38 @@ TEST(SerializerTest, EscapesSpecialCharacters) {
   auto round = ParseXml(pool, "d2", s);
   ASSERT_TRUE(round.ok());
   EXPECT_TRUE(DocumentsEqual(doc, **round));
+}
+
+TEST(SerializerTest, EscapesMarkupCharactersAnywhereInAValue) {
+  // Each of & < > " at the start, in the middle, at the end, next to
+  // another and alone, in text and in attribute values (where the quote
+  // is escaped too).
+  const std::pair<std::string, std::string> kText[] = {
+      {"&a", "&amp;a"},      {"a<b", "a&lt;b"},     {"ab>", "ab&gt;"},
+      {"\"x\"", "\"x\""},    {"<&>", "&lt;&amp;&gt;"},
+      {"&", "&amp;"},        {"<", "&lt;"},         {">", "&gt;"},
+      {"\"", "\""},          {"a&&b<>c", "a&amp;&amp;b&lt;&gt;c"},
+  };
+  const std::pair<std::string, std::string> kAttr[] = {
+      {"\"a", "&quot;a"},   {"a\"b", "a&quot;b"},  {"ab\"", "ab&quot;"},
+      {"\"", "&quot;"},     {"&\"<\">", "&amp;&quot;&lt;&quot;&gt;"},
+      {"<a>", "&lt;a&gt;"},  {"&", "&amp;"},         {"x", "x"},
+  };
+  auto pool = Pool();
+  for (const auto& [value, expected] : kText) {
+    Document doc(pool, "d");
+    doc.AppendText(doc.CreateRoot("t"), value);
+    EXPECT_EQ(Serialize(doc), "<t>" + expected + "</t>") << value;
+  }
+  for (const auto& [value, expected] : kAttr) {
+    Document doc(pool, "d");
+    NodeId root = doc.CreateRoot("t");
+    doc.AppendAttribute(root, "v", value);
+    doc.AppendAttribute(root, "w", value);
+    EXPECT_EQ(Serialize(doc),
+              "<t v=\"" + expected + "\" w=\"" + expected + "\"/>")
+        << value;
+  }
 }
 
 TEST(SerializerTest, IndentedOutput) {

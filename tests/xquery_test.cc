@@ -2,6 +2,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "gtest/gtest.h"
 #include "xml/parser.h"
 #include "xquery/ast.h"
@@ -382,6 +383,106 @@ TEST(ItemTest, EffectiveBooleanValue) {
   EXPECT_TRUE(*EffectiveBooleanValue({Item(std::string("x"))}));
   EXPECT_FALSE(*EffectiveBooleanValue({Item(std::string())}));
   EXPECT_FALSE(EffectiveBooleanValue({Item(1.0), Item(2.0)}).ok());
+}
+
+// --- streamed evaluation ---------------------------------------------------
+
+/// 1,000 Item documents whose bodies hold 12 <w> elements each: a FLWOR
+/// over them binds 1,000 items, and each binding's `$i//w` visits far
+/// more nodes than binding it did.
+class EvalStreamTest : public ::testing::Test {
+ protected:
+  EvalStreamTest() : pool_(std::make_shared<xml::NamePool>()) {
+    for (int i = 0; i < 1000; ++i) {
+      std::string xml = "<Item><Code>" + std::to_string(i) +
+                        "</Code><Name>item " + std::to_string(i) +
+                        "</Name><Body>";
+      for (int w = 0; w < 12; ++w) xml += "<w>" + std::to_string(w) + "</w>";
+      xml += "</Body></Item>";
+      auto doc = xml::ParseXml(pool_, "item" + std::to_string(i), xml);
+      EXPECT_TRUE(doc.ok()) << doc.status();
+      if (doc.ok()) resolver_.Add("c", *doc);
+    }
+  }
+
+  std::shared_ptr<xml::NamePool> pool_;
+  MapResolver resolver_;
+};
+
+TEST_F(EvalStreamTest, LeadingForFlworExpandsFirstBlockFirst) {
+  constexpr size_t kBlock = 16;
+  auto ast = ParseQuery("for $i in collection(\"c\")/Item return $i//w");
+  ASSERT_TRUE(ast.ok()) << ast.status();
+  Evaluator reference(&resolver_, pool_);
+  Result<Sequence> all = reference.Eval(**ast);
+  ASSERT_TRUE(all.ok()) << all.status();
+  ASSERT_EQ(all->size(), 12'000u);
+  const EvalStats& full = reference.stats();
+
+  ThreadPool threads(4);
+  for (size_t morsels : {size_t{1}, size_t{4}}) {
+    Evaluator eval(&resolver_, pool_);
+    eval.set_morsel_parallelism(morsels, &threads);
+    auto stream = eval.OpenStream(**ast, kBlock);
+    ASSERT_TRUE(stream.ok()) << stream.status();
+    // The first batch is the first 16 bindings' items, produced by a
+    // small fraction of the whole evaluation's work.
+    Sequence batch;
+    auto more = (*stream)->Next(&batch);
+    ASSERT_TRUE(more.ok()) << more.status();
+    ASSERT_TRUE(*more);
+    ASSERT_EQ(batch.size(), kBlock * 12) << "morsels=" << morsels;
+    EXPECT_EQ(SerializeSequence(batch),
+              SerializeSequence(Sequence(all->begin(),
+                                         all->begin() + kBlock * 12)));
+    EXPECT_LT((*stream)->stats().nodes_visited * 10, full.nodes_visited);
+    // The batches concatenate to Eval()'s items, with Eval()'s stats.
+    Sequence streamed = std::move(batch);
+    for (;;) {
+      more = (*stream)->Next(&batch);
+      ASSERT_TRUE(more.ok()) << more.status();
+      if (!*more) break;
+      for (Item& item : batch) streamed.push_back(std::move(item));
+    }
+    EXPECT_EQ(SerializeSequence(streamed), SerializeSequence(*all))
+        << "morsels=" << morsels;
+    const EvalStats& got = (*stream)->stats();
+    EXPECT_EQ(got.nodes_visited, full.nodes_visited);
+    EXPECT_EQ(got.collections_resolved, full.collections_resolved);
+    EXPECT_EQ(got.elements_constructed, full.elements_constructed);
+    EXPECT_EQ(got.index_range_scans, full.index_range_scans);
+    EXPECT_EQ(got.index_range_hits, full.index_range_hits);
+    EXPECT_EQ(got.morsels > 0, morsels > 1);
+  }
+
+  // An error raised by binding 500 reaches the caller after the first
+  // block, as the error Eval() returns.
+  auto failing = ParseQuery(
+      "for $i in collection(\"c\")/Item "
+      "return if ($i/Code >= 500) then collection($i/Name) else $i//w");
+  ASSERT_TRUE(failing.ok()) << failing.status();
+  Evaluator failing_reference(&resolver_, pool_);
+  Result<Sequence> failed = failing_reference.Eval(**failing);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().message().find("item 500"), std::string::npos)
+      << failed.status();
+  for (size_t morsels : {size_t{1}, size_t{4}}) {
+    Evaluator eval(&resolver_, pool_);
+    eval.set_morsel_parallelism(morsels, &threads);
+    auto stream = eval.OpenStream(**failing, kBlock);
+    ASSERT_TRUE(stream.ok()) << stream.status();
+    Sequence batch;
+    auto first = (*stream)->Next(&batch);
+    ASSERT_TRUE(first.ok()) << first.status();
+    EXPECT_EQ(batch.size(), kBlock * 12);
+    auto second = (*stream)->Next(&batch);
+    ASSERT_FALSE(second.ok());
+    EXPECT_EQ(second.status().ToString(), failed.status().ToString())
+        << "morsels=" << morsels;
+    auto after = (*stream)->Next(&batch);
+    ASSERT_TRUE(after.ok());
+    EXPECT_FALSE(*after);
+  }
 }
 
 }  // namespace
