@@ -570,7 +570,7 @@ double Executor::Dispatch(const std::vector<SubQuery>& subqueries,
   const size_t workers = parallelism == 0 ? n : std::min(parallelism, n);
   const size_t hw = std::max<size_t>(1, std::thread::hardware_concurrency());
   const size_t cap = std::max(hw, cluster_->node_count());
-  if (workers <= 1) {
+  if (SequentialDispatch(parallelism, n)) {
     if (options.intra_node_parallelism > 1) {
       // Sequential fan-out, parallel nodes: the morsel workers each
       // engine spawns still come from the shared pool — make sure it has
@@ -581,6 +581,7 @@ double Executor::Dispatch(const std::vector<SubQuery>& subqueries,
     }
     for (size_t i = 0; i < n; ++i) {
       RunOne(subqueries[i], i, options, channel, watch, &(*outcomes)[i]);
+      if (options.after_subquery) options.after_subquery(i);
     }
     return watch.ElapsedMillis();
   }

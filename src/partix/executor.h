@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -92,7 +93,18 @@ struct DispatchOptions {
   const telemetry::Tracer* tracer = nullptr;
   /// Target items per streamed block (0 = the engine default).
   size_t stream_block_items = 0;
+  /// Sequential dispatch only (see SequentialDispatch): called on the
+  /// calling thread after each sub-query finished, with its index. The
+  /// sub-query's channel lane is complete by then, so the caller can
+  /// drain it between sub-queries instead of from a consumer thread.
+  std::function<void(size_t)> after_subquery;
 };
+
+/// True when Dispatch runs the sub-queries one after another on the
+/// calling thread: `parallelism` 1, or at most one sub-query.
+inline bool SequentialDispatch(size_t parallelism, size_t subqueries) {
+  return parallelism == 1 || subqueries <= 1;
+}
 
 /// Outcome of one dispatched sub-query, index-aligned with the plan's
 /// sub-query list. The answer itself went through the dispatch's
@@ -216,11 +228,13 @@ class Executor {
   /// `channel` lane `i` (the sub-query's index) as it arrives. A
   /// mid-stream failure fails over, and the channel's replay
   /// verification keeps the forwarded prefix exact. The channel must
-  /// outlive the call and have a consumer draining it (or a cap large
-  /// enough for the whole answer); Finish(i, status) fires exactly once
-  /// per sub-query, after all retries resolved. `outcomes` is resized
-  /// and index-aligned with `subqueries`. Returns the measured
-  /// wall-clock milliseconds of the fan-out.
+  /// outlive the call and have a consumer draining it, or a cap large
+  /// enough for what is not drained: a sequential dispatch that drains
+  /// each lane from `after_subquery` needs an uncapped channel, since a
+  /// lane fills before anything drains it. Finish(i, status) fires
+  /// exactly once per sub-query, after all retries resolved. `outcomes`
+  /// is resized and index-aligned with `subqueries`. Returns the
+  /// measured wall-clock milliseconds of the fan-out.
   ///
   /// Pre: every node index in every sub-query's replica list is in range
   /// (the query service validates routing before dispatching), and every

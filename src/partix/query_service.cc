@@ -234,6 +234,29 @@ std::vector<size_t> ReplicasOrPrimary(const SubQuery& sub) {
   return {sub.node};
 }
 
+/// The union answer: every lane's blocks in plan order, a newline between
+/// non-empty lanes, written once into a string of its final size `bytes`.
+/// A lone block becomes the answer without a copy. Empties the lanes.
+std::string ConcatenateLanes(std::vector<std::vector<std::string>>* lanes,
+                             size_t bytes) {
+  std::string answer;
+  for (std::vector<std::string>& blocks : *lanes) {
+    if (blocks.empty()) continue;
+    if (answer.empty() && blocks.size() == 1 && blocks[0].size() == bytes) {
+      answer = std::move(blocks[0]);
+    } else {
+      if (answer.empty()) {
+        answer.reserve(bytes);
+      } else {
+        answer.push_back('\n');
+      }
+      for (const std::string& block : blocks) answer += block;
+    }
+    blocks.clear();
+  }
+  return answer;
+}
+
 /// Coordinator-side counters and phase latency histograms.
 struct ServiceTelemetry {
   telemetry::Counter* queries;
@@ -580,23 +603,27 @@ Result<DistributedResult> QueryService::ExecutePlan(
   // governor's pinned consumer until this execution returns.
   InflightResultCharge inflight(governor_, governor_id_);
 
-  // Workers push fixed-size result blocks into a bounded channel while
-  // this thread drains lanes in plan order and composes incrementally.
-  // Dispatch runs on a dedicated thread so the coordinator thread is free
-  // to consume. Deadlock-freedom: the consumer drains lanes in plan
-  // order, workers claim sub-queries in ascending index order, and the
-  // lane under the consumer's cursor is exempt from the buffer cap (see
-  // stream.h).
-  BlockChannel channel(live.size(), options.stream_buffer_bytes, governor_,
-                       governor_id_);
-  std::thread dispatcher([&] {
-    cluster_->executor().Dispatch(live, dispatch_options, &channel,
-                                  &outcomes);
-  });
-  // Union appends each lane straight into the answer; sum stages each
-  // lane's digits, join each lane's fetched documents. A lane that fails
-  // — possibly mid-stream, after forwarding a prefix — is rolled back,
-  // so it contributes nothing (the commit barrier). TTFB is the first
+  // Sub-queries push fixed-size result blocks into a channel while this
+  // thread drains lanes in plan order and composes incrementally.
+  // Sequential dispatch (parallelism 1, or one sub-query) runs on this
+  // thread and drains each lane as soon as its sub-query finished: no
+  // dispatcher thread, no block handed between threads. Its channel has
+  // no byte cap, because its only consumer runs between sub-queries; it
+  // holds at most one sub-query's blocks. Parallel dispatch runs on
+  // a dedicated thread so this one is free to consume. Deadlock-freedom:
+  // the consumer drains lanes in plan order, workers claim sub-queries in
+  // ascending index order, and the lane under the consumer's cursor is
+  // exempt from the buffer cap (see stream.h).
+  const bool sequential =
+      SequentialDispatch(options.parallelism, live.size());
+  BlockChannel channel(live.size(),
+                       sequential ? 0 : options.stream_buffer_bytes,
+                       governor_, governor_id_);
+  // Union keeps each lane's blocks and concatenates them once at compose,
+  // into an answer reserved to its final size; sum stages each lane's
+  // digits, join each lane's fetched documents. A lane that fails —
+  // possibly mid-stream, after forwarding a prefix — is rolled back, so
+  // it contributes nothing (the commit barrier). TTFB is the first
   // committed answer byte: under kFail a union block commits as it lands
   // (a failed lane fails the whole query, so no committed byte can
   // outlive a lane that later fails), under kReturnPartial a union lane
@@ -608,13 +635,23 @@ Result<DistributedResult> QueryService::ExecutePlan(
       !barrier && plan.composition == Composition::kUnion &&
       options.partial_results == PartialResultPolicy::kFail;
   double ttfb_ms = -1.0;
-  std::string answer;
+  // Union answer size so far: committed block bytes plus the newline
+  // that separates non-empty lanes.
+  size_t answer_bytes = 0;
   uint64_t answer_items = 0;
+  std::vector<std::vector<std::string>> lane_blocks(live.size());
   std::vector<std::string> lane_text(live.size());
   std::vector<xquery::Sequence> lane_items(live.size());
   std::vector<bool> lane_ok(live.size(), false);
-  for (size_t i = 0; i < live.size(); ++i) {
-    const size_t lane_start = answer.size();
+  bool stopped = false;
+  // Drains lane `i` to its end and composes it; once a failed lane has
+  // stopped composition (kFail), discards instead.
+  auto compose_lane = [&](size_t i) {
+    if (stopped) {
+      channel.DrainDiscard(i);
+      return;
+    }
+    const size_t lane_start = answer_bytes;
     uint64_t items = 0;
     for (;;) {
       xdb::ResultBlock block;
@@ -628,12 +665,13 @@ Result<DistributedResult> QueryService::ExecutePlan(
         case Composition::kUnion:
           items += block.items.size();
           if (bytes == 0) break;
-          if (answer.size() == lane_start && lane_start > 0) {
-            answer.push_back('\n');
+          if (answer_bytes == lane_start && lane_start > 0) {
+            ++answer_bytes;
             inflight.Add(1);
           }
           inflight.Add(bytes);
-          answer += block.serialized;
+          answer_bytes += bytes;
+          lane_blocks[i].push_back(std::move(block.serialized));
           if (commit_per_block && ttfb_ms < 0.0) {
             ttfb_ms = wall_watch.ElapsedMillis();
           }
@@ -652,27 +690,37 @@ Result<DistributedResult> QueryService::ExecutePlan(
       }
     }
     if (!lane_ok[i]) {
-      inflight.Release(answer.size() - lane_start + lane_text[i].size());
-      answer.resize(lane_start);
+      inflight.Release(answer_bytes - lane_start + lane_text[i].size());
+      answer_bytes = lane_start;
+      lane_blocks[i].clear();
       lane_text[i].clear();
       lane_items[i].clear();
       // Under kFail the query fails below: stop composing.
-      if (options.partial_results == PartialResultPolicy::kFail) break;
-      continue;
+      if (options.partial_results == PartialResultPolicy::kFail) {
+        stopped = true;
+      }
+      return;
     }
     // An all-empty union lane contributes neither bytes nor items.
-    if (answer.size() > lane_start) {
+    if (answer_bytes > lane_start) {
       answer_items += items;
       if (!barrier && ttfb_ms < 0.0) {
         ttfb_ms = wall_watch.ElapsedMillis();
       }
     }
+  };
+  if (sequential) {
+    dispatch_options.after_subquery = compose_lane;
+    cluster_->executor().Dispatch(live, dispatch_options, &channel,
+                                  &outcomes);
+  } else {
+    std::thread dispatcher([&] {
+      cluster_->executor().Dispatch(live, dispatch_options, &channel,
+                                    &outcomes);
+    });
+    for (size_t i = 0; i < live.size(); ++i) compose_lane(i);
+    dispatcher.join();
   }
-  // Unblock any producers still running (remaining lanes after a failure,
-  // replay tails), then wait for the executor to finish filling the
-  // outcome slots.
-  for (size_t i = 0; i < live.size(); ++i) channel.DrainDiscard(i);
-  dispatcher.join();
   out.stream_blocks = channel.consumed();
   if (options.trace) {
     // Workers filled disjoint outcome slots; assemble them under one
@@ -793,8 +841,7 @@ Result<DistributedResult> QueryService::ExecutePlan(
   const double compose_start_ms = options.trace ? tracer.NowMs() : 0.0;
   switch (plan.composition) {
     case Composition::kUnion:
-      // Composed in-stream; this is the commit of the answer.
-      out.serialized = std::move(answer);
+      out.serialized = ConcatenateLanes(&lane_blocks, answer_bytes);
       out.result_items = answer_items;
       break;
     case Composition::kSumCounts: {

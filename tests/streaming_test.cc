@@ -21,6 +21,8 @@
 //     past the attempt budget is discarded, not served
 //   - accounting: union composition's peak governed bytes stay near the
 //     answer size (the double-charge regression test)
+//   - sequential dispatch: at parallelism 1 the calling thread drains
+//     each lane after its sub-query, so no lane waits on the buffer cap
 
 #include <cstdint>
 #include <map>
@@ -470,6 +472,30 @@ TEST_F(ReplicatedStreamingTest, ReplayRecordsReceivedBytesWhenIntegrityIsOff) {
   EXPECT_NE(result.status().message().find("replica stream prefix diverged"),
             std::string::npos)
       << result.status();
+}
+
+// --- sequential dispatch on the calling thread ---------------------------
+
+TEST_F(UnreplicatedStreamingTest, SequentialDispatchIgnoresTheBufferCap) {
+  // At parallelism 1 the calling thread runs the sub-queries itself and
+  // drains each lane only after its sub-query finished, so no lane may
+  // wait for buffer room: with a 64-byte cap and one item per block,
+  // every lane outgrows the cap before anything drains it.
+  ExecutionOptions parallel;
+  parallel.parallelism = 0;
+  auto base = service_.Execute(kAllNamesQuery, parallel);
+  ASSERT_TRUE(base.ok()) << base.status();
+  ASSERT_GT(base->result_bytes, 4 * 64u);
+
+  ExecutionOptions sequential;
+  sequential.parallelism = 1;
+  sequential.stream_block_items = 1;
+  sequential.stream_buffer_bytes = 64;
+  auto result = service_.Execute(kAllNamesQuery, sequential);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->serialized, base->serialized);
+  EXPECT_EQ(result->result_items, base->result_items);
+  EXPECT_EQ(result->stream_blocks, base->result_items);
 }
 
 // --- commit barrier under kReturnPartial ---------------------------------
