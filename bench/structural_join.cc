@@ -33,6 +33,7 @@
 #include "engine/database.h"
 #include "fragmentation/algebra.h"
 #include "fragmentation/fragmenter.h"
+#include "fragmentation/origins.h"
 #include "gen/xbench.h"
 #include "telemetry/metrics.h"
 #include "workload/harness.h"
@@ -272,7 +273,13 @@ int main() {
   std::map<std::string, std::vector<xml::DocumentPtr>> groups;
   for (const xml::Collection& fragment : *fragments) {
     for (const xml::DocumentPtr& doc : fragment.docs()) {
-      groups[doc->origin_doc()].push_back(doc);
+      auto origins = frag::DecodeOrigins(*doc);
+      if (!origins.ok()) {
+        std::fprintf(stderr, "bad reconstruction IDs: %s\n",
+                     origins.status().ToString().c_str());
+        return 1;
+      }
+      groups[origins->source].push_back(doc);
     }
   }
   auto pool = articles->docs()[0]->pool();

@@ -54,40 +54,42 @@ for config in "${configs[@]}"; do
   "$dir"/tests/partix_tests \
     --gtest_filter='*Concurrent*:*Scheduler*:*Fairness*:*Streaming*:*Morsel*:*Structural*'
   if [ "$config" = plain ]; then
+    # Each bench smoke runs under `timeout 300`, so a hung bench fails the
+    # check within five minutes instead of stalling it.
     echo "== ${config}: memory density smoke =="
     # Gates the memory-governance subsystem: >= 30% fewer allocations per
     # parsed document with the arena pool, zero failures under a tiny
     # budget, byte-identical answers with governance on vs off.
-    (cd "$dir"/bench && PARTIX_SMOKE=1 ./memory_density)
+    (cd "$dir"/bench && PARTIX_SMOKE=1 timeout 300 ./memory_density)
     echo "== ${config}: intra-node morsel smoke =="
     # Identity gate for intra-node morsel parallelism: localized queries
     # must answer byte-identically at morsels 1/2/4/8, and every level
     # >= 2 must actually run morsels (the 2x speedup gate runs only in
     # full mode on multi-core hosts).
-    (cd "$dir"/bench && PARTIX_SMOKE=1 ./intra_node_speedup)
+    (cd "$dir"/bench && PARTIX_SMOKE=1 timeout 300 ./intra_node_speedup)
     echo "== ${config}: structural join smoke =="
     # Identity gate for the label index: every query answers
     # byte-identically with label-range scans on vs off, on the vertical
     # workload and on the engine-level axis steps, and label-merge
     # reconstruction equals the value join.
-    (cd "$dir"/bench && PARTIX_SMOKE=1 ./structural_join)
+    (cd "$dir"/bench && PARTIX_SMOKE=1 timeout 300 ./structural_join)
     echo "== ${config}: streaming TTFB smoke =="
     # Gates the streaming result pipeline: byte-identical answers
     # streaming vs the barrier (the same pipeline holding the answer
     # until compose ends), streaming TTFB p50 strictly below the barrier
     # wall on the union workload, and peak governed bytes below 80% of
     # the double-charge baseline.
-    (cd "$dir"/bench && PARTIX_SMOKE=1 ./streaming_ttfb)
+    (cd "$dir"/bench && PARTIX_SMOKE=1 timeout 300 ./streaming_ttfb)
     echo "== ${config}: concurrent QPS smoke =="
     # Gates concurrent execution through one scheduler: byte-identical
     # answers under concurrency, and the QPS scaling floor against the
     # same clients serialized behind one slot.
-    (cd "$dir"/bench && PARTIX_SMOKE=1 ./concurrent_qps)
+    (cd "$dir"/bench && PARTIX_SMOKE=1 timeout 300 ./concurrent_qps)
     echo "== ${config}: self-healing chaos smoke =="
     # Gates fault tolerance end to end: under node failures and 25%
     # response corruption every corrupt block must be caught by its
     # digest, and the answers must stay byte-identical.
-    (cd "$dir"/bench && PARTIX_SMOKE=1 ./failover_bench)
+    (cd "$dir"/bench && PARTIX_SMOKE=1 timeout 300 ./failover_bench)
   fi
 done
 

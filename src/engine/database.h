@@ -126,8 +126,8 @@ struct QueryResult {
 /// One batch of a streamed query result. Blocks carry both forms the
 /// consumers need: serialized bytes (what crosses the wire; block
 /// serializations concatenate to exactly QueryResult::serialized) and the
-/// items themselves (join composition reads the px-* reconstruction
-/// metadata off the documents, not the bytes). Documents stay alive
+/// items themselves (join composition reads the fetched documents and
+/// their reconstruction IDs, not the bytes). Documents stay alive
 /// through the items' shared_ptrs.
 struct ResultBlock {
   xquery::Sequence items;
@@ -169,10 +169,11 @@ struct PrepareOutcome {
 /// distributed setting.
 ///
 /// Documents live in per-collection stores in serialized form, are parsed
-/// on demand through an LRU cache, and are indexed (structure, full text,
-/// exact values) at store time. Queries are XQuery (see xquery/parser.h
-/// for the subset); the planner prunes the documents each collection()
-/// call must touch using the indexes.
+/// on demand through an LRU cache, and are indexed by element and
+/// attribute name and by the levels those names occur at, at store time.
+/// Queries are XQuery (see xquery/parser.h for the subset); the planner
+/// prunes the documents each collection() call must touch using the
+/// indexes.
 ///
 /// Thread-safety: the read path is concurrent, the write path exclusive.
 /// Execute/Prepare/ExecutePrepared and the read accessors are const and

@@ -4,8 +4,9 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <unordered_map>
+#include <string_view>
 #include <unordered_set>
+#include <utility>
 
 #include "xpath/eval.h"
 
@@ -52,23 +53,15 @@ Result<DocumentPtr> ProjectDocument(const Document& src, const xpath::Path& p,
     for (NodeId n : xpath::EvalPath(src, e)) pruned_roots.insert(n);
   }
 
+  auto skip = [&pruned_roots](NodeId n) { return pruned_roots.count(n) != 0; };
   auto doc = std::make_shared<Document>(src.pool(), result_doc_name);
-  doc->EnableOriginTracking(src.doc_name());
-  NodeId copied = doc->CopySubtree(
-      src, projected, kNullNode,
-      [&pruned_roots](NodeId n) { return pruned_roots.count(n) != 0; });
-  if (copied == kNullNode) {
+  if (doc->CopySubtree(src, projected, kNullNode, skip) == kNullNode) {
     // The projected root itself was pruned: an empty fragment instance.
     return DocumentPtr(nullptr);
   }
-
-  // Record the ancestor scaffold (root -> parent of projected node).
-  std::vector<std::pair<NodeId, std::string>> ancestors;
-  for (NodeId a = src.parent(projected); a != kNullNode; a = src.parent(a)) {
-    ancestors.emplace_back(a, std::string(src.name(a)));
-  }
-  std::reverse(ancestors.begin(), ancestors.end());
-  doc->SetOriginAncestors(std::move(ancestors));
+  FragmentOrigins origins = OriginsAt(src, projected);
+  AddSubtreeOrigins(src, projected, skip, &origins);
+  EncodeOrigins(origins, doc.get());
   doc->SealLabels();
   return DocumentPtr(doc);
 }
@@ -106,6 +99,35 @@ struct NodeInfo {
   bool scaffold = false;  // re-created ancestor, not fragment data
 };
 
+/// What the merge relies on: the runs cover exactly the document's nodes,
+/// and the ids of the ancestor chain, then of the runs, increase and stay
+/// below the NodeId sentinels.
+Status CheckOrigins(const Document& doc, const FragmentOrigins& origins) {
+  uint64_t next = 0;  // the smallest id the next entry may carry
+  uint64_t covered = 0;
+  bool increasing = true;
+  for (const auto& [id, name] : origins.ancestors) {
+    increasing = increasing && id >= next;
+    next = uint64_t{id} + 1;
+  }
+  for (const OriginRun& run : origins.runs) {
+    increasing = increasing && run.length > 0 && run.first >= next;
+    next = uint64_t{run.first} + run.length;
+    covered += run.length;
+  }
+  if (!increasing || next > xml::kDocumentNode) {
+    return Status::Corruption("reconstruction IDs of '" + doc.doc_name() +
+                              "' do not increase");
+  }
+  if (covered != doc.node_count()) {
+    return Status::Corruption(
+        "reconstruction IDs of '" + doc.doc_name() + "' cover " +
+        std::to_string(covered) + " of its " +
+        std::to_string(doc.node_count()) + " nodes");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<DocumentPtr> JoinFragmentsValueJoin(
@@ -114,26 +136,28 @@ Result<DocumentPtr> JoinFragmentsValueJoin(
   if (fragment_docs.empty()) {
     return Status::InvalidArgument("join of zero fragment documents");
   }
-  const std::string& source = fragment_docs[0]->origin_doc();
-
   // Gather the node table keyed by source node id. std::map iteration
   // order (increasing id) is pre-order of the source document, so parents
   // precede children when rebuilding.
+  std::string source;
   std::map<NodeId, NodeInfo> table;
   for (const DocumentPtr& frag : fragment_docs) {
-    if (!frag->origin_tracking()) {
+    PARTIX_ASSIGN_OR_RETURN(FragmentOrigins origins, DecodeOrigins(*frag));
+    if (origins.source.empty()) {
       return Status::FailedPrecondition(
           "fragment document '" + frag->doc_name() +
           "' carries no reconstruction IDs");
     }
-    if (frag->origin_doc() != source) {
+    if (source.empty()) source = origins.source;
+    if (origins.source != source) {
       return Status::InvalidArgument(
           "fragments from different source documents: '" + source +
-          "' vs '" + frag->origin_doc() + "'");
+          "' vs '" + origins.source + "'");
     }
     if (frag->empty()) continue;
+    PARTIX_RETURN_IF_ERROR(CheckOrigins(*frag, origins));
     // Ancestor scaffolding: id -> element name chain.
-    const auto& ancestors = frag->origin_ancestors();
+    const auto& ancestors = origins.ancestors;
     for (size_t i = 0; i < ancestors.size(); ++i) {
       auto [id, name] = ancestors[i];
       auto it = table.find(id);
@@ -146,18 +170,17 @@ Result<DocumentPtr> JoinFragmentsValueJoin(
         table.emplace(id, std::move(info));
       }
     }
-    NodeId frag_root = frag->root();
-    NodeId root_parent =
-        ancestors.empty() ? kNullNode : ancestors.back().first;
-    Status status = Status::Ok();
-    frag->VisitSubtree(frag_root, [&](NodeId n) {
-      if (!status.ok()) return;
-      NodeId src_id = frag->origin(n);
-      if (src_id == kNullNode) {
-        status = Status::Corruption("fragment node without origin id in '" +
-                                    frag->doc_name() + "'");
-        return;
+    std::vector<NodeId> ids;  // origin id of each node, from the runs
+    std::vector<bool> scaffold;
+    for (const OriginRun& run : origins.runs) {
+      for (uint32_t k = 0; k < run.length; ++k) {
+        ids.push_back(run.first + k);
+        scaffold.push_back(run.scaffold);
       }
+    }
+    const NodeId root_parent =
+        ancestors.empty() ? kNullNode : ancestors.back().first;
+    for (NodeId n = 0; n < frag->node_count(); ++n) {
       NodeInfo info;
       info.kind = frag->kind(n);
       if (info.kind != NodeKind::kText) {
@@ -166,23 +189,22 @@ Result<DocumentPtr> JoinFragmentsValueJoin(
       if (info.kind != NodeKind::kElement) {
         info.value = std::string(frag->value(n));
       }
-      info.parent = n == frag_root ? root_parent : frag->origin(frag->parent(n));
-      info.scaffold = frag->scaffold(n);
-      auto [it, inserted] = table.emplace(src_id, info);
+      info.parent = n == frag->root() ? root_parent : ids[frag->parent(n)];
+      info.scaffold = scaffold[n];
+      auto [it, inserted] = table.emplace(ids[n], info);
       if (!inserted) {
         if (it->second.scaffold) {
           // A real fragment node overrides a scaffold entry (a scaffold
           // duplicate keeps the existing one).
           if (!info.scaffold) it->second = std::move(info);
         } else if (!info.scaffold) {
-          status = Status::FailedPrecondition(
-              "source node " + std::to_string(src_id) + " of '" + source +
+          return Status::FailedPrecondition(
+              "source node " + std::to_string(ids[n]) + " of '" + source +
               "' appears in more than one fragment (disjointness "
               "violation)");
         }
       }
-    });
-    PARTIX_RETURN_IF_ERROR(status);
+    }
   }
 
   // Rebuild top-down. Source ids are pre-order, so a std::map walk visits
@@ -233,187 +255,180 @@ Result<DocumentPtr> JoinFragmentsValueJoin(
 
 namespace {
 
-/// One fragment's contribution to the label merge, in increasing origin id
-/// (= source preorder = prefix-label order): the scaffold ancestor chain
-/// first, then the fragment subtree in document order.
-struct MergeRun {
-  struct Entry {
-    NodeId src_id;
-    NodeId node;          // kNullNode for an ancestor-chain entry
-    uint32_t anc;         // index into origin_ancestors() when node is null
-    NodeId parent_src;    // origin id of the parent in the source document
-    bool scaffold;
-  };
-  const Document* frag = nullptr;
-  std::vector<Entry> entries;
-  size_t cursor = 0;
-
-  bool exhausted() const { return cursor >= entries.size(); }
-  const Entry& head() const { return entries[cursor]; }
+/// A fragment's claim on one source node: an entry of its ancestor chain
+/// (`node` is kNullNode) or one of its nodes.
+struct Claim {
+  NodeId id;
+  size_t fragment;
+  size_t chain;  // index into the ancestor chain
+  NodeId node;
+  bool scaffold;
 };
 
 }  // namespace
 
-Result<DocumentPtr> JoinFragments(
-    const std::vector<DocumentPtr>& fragment_docs,
-    std::shared_ptr<xml::NamePool> pool) {
-  if (fragment_docs.empty()) {
+Result<DocumentPtr> JoinFragments(const std::vector<JoinInput>& fragments,
+                                  std::shared_ptr<xml::NamePool> pool) {
+  if (fragments.empty()) {
     return Status::InvalidArgument("join of zero fragment documents");
   }
-  const std::string& source = fragment_docs[0]->origin_doc();
-
-  // Phase 1: one pass per fragment lays out its pre-sorted run. No node
-  // table and no name/value copies — entries only reference the fragment.
-  std::vector<MergeRun> runs;
-  runs.reserve(fragment_docs.size());
-  for (const DocumentPtr& frag : fragment_docs) {
-    if (!frag->origin_tracking()) {
+  const std::string& source = fragments[0].origins.source;
+  // The node each run starts at, per fragment.
+  std::vector<std::vector<NodeId>> starts(fragments.size());
+  for (size_t f = 0; f < fragments.size(); ++f) {
+    const JoinInput& fragment = fragments[f];
+    if (fragment.origins.source.empty()) {
       return Status::FailedPrecondition(
-          "fragment document '" + frag->doc_name() +
+          "fragment document '" + fragment.doc->doc_name() +
           "' carries no reconstruction IDs");
     }
-    if (frag->origin_doc() != source) {
+    if (fragment.origins.source != source) {
       return Status::InvalidArgument(
           "fragments from different source documents: '" + source +
-          "' vs '" + frag->origin_doc() + "'");
+          "' vs '" + fragment.origins.source + "'");
     }
-    if (frag->empty()) continue;
-    MergeRun run;
-    run.frag = frag.get();
-    run.entries.reserve(frag->origin_ancestors().size() +
-                        frag->node_count());
-    const auto& ancestors = frag->origin_ancestors();
-    for (size_t i = 0; i < ancestors.size(); ++i) {
-      run.entries.push_back(MergeRun::Entry{
-          ancestors[i].first, kNullNode, static_cast<uint32_t>(i),
-          i == 0 ? kNullNode : ancestors[i - 1].first, true});
+    if (fragment.doc->empty()) continue;
+    PARTIX_RETURN_IF_ERROR(CheckOrigins(*fragment.doc, fragment.origins));
+    NodeId start = 0;
+    for (const OriginRun& run : fragment.origins.runs) {
+      starts[f].push_back(start);
+      start += run.length;
     }
-    const NodeId frag_root = frag->root();
-    const NodeId root_parent =
-        ancestors.empty() ? kNullNode : ancestors.back().first;
-    Status status = Status::Ok();
-    frag->VisitSubtree(frag_root, [&](NodeId n) {
-      if (!status.ok()) return;
-      NodeId src_id = frag->origin(n);
-      if (src_id == kNullNode) {
-        status = Status::Corruption("fragment node without origin id in '" +
-                                    frag->doc_name() + "'");
-        return;
-      }
-      run.entries.push_back(MergeRun::Entry{
-          src_id, n, 0,
-          n == frag_root ? root_parent : frag->origin(frag->parent(n)),
-          frag->scaffold(n)});
-    });
-    PARTIX_RETURN_IF_ERROR(status);
-    // Projection emits origins in source document order (the ancestor
-    // chain strictly precedes the projected subtree), so the run is
-    // already sorted; re-establish the invariant for hand-built fragments.
-    auto by_id = [](const MergeRun::Entry& a, const MergeRun::Entry& b) {
-      return a.src_id < b.src_id;
-    };
-    if (!std::is_sorted(run.entries.begin(), run.entries.end(), by_id)) {
-      std::stable_sort(run.entries.begin(), run.entries.end(), by_id);
-    }
-    runs.push_back(std::move(run));
   }
-
-  // Phase 2: k-way merge of the runs by origin id. Ids are source preorder
-  // positions, so nodes are emitted parents-first in document order and
-  // the output document can be built directly, top-down.
-  auto doc = std::make_shared<Document>(std::move(pool), source);
-  std::unordered_map<NodeId, NodeId> rebuilt;  // source id -> new id
-  for (;;) {
-    uint64_t min_id = UINT64_MAX;
-    for (const MergeRun& run : runs) {
-      if (!run.exhausted()) {
-        min_id = std::min(min_id, uint64_t{run.head().src_id});
-      }
-    }
-    if (min_id == UINT64_MAX) break;
-    const NodeId src_id = static_cast<NodeId>(min_id);
-
-    // Resolve all claimants of this source node: a real fragment node
-    // wins over scaffolding; two real claimants violate disjointness.
-    const MergeRun::Entry* winner = nullptr;
-    const Document* winner_frag = nullptr;
-    bool have_real = false;
-    for (MergeRun& run : runs) {
-      while (!run.exhausted() && run.head().src_id == src_id) {
-        const MergeRun::Entry& e = run.head();
-        ++run.cursor;
-        if (!e.scaffold) {
-          if (have_real) {
-            return Status::FailedPrecondition(
-                "source node " + std::to_string(src_id) + " of '" + source +
-                "' appears in more than one fragment (disjointness "
-                "violation)");
-          }
-          have_real = true;
-          winner = &e;
-          winner_frag = run.frag;
-        } else if (winner == nullptr) {
-          winner = &e;
-          winner_frag = run.frag;
-        }
-      }
-    }
-
-    NodeId parent_new = kNullNode;
-    if (winner->parent_src != kNullNode) {
-      auto it = rebuilt.find(winner->parent_src);
-      if (it == rebuilt.end()) {
-        return Status::Corruption(
-            "parent of source node " + std::to_string(src_id) +
-            " missing from all fragments of '" + source + "'");
-      }
-      parent_new = it->second;
-    } else if (!doc->empty()) {
+  // The claim fragment `f` makes through its node `n`.
+  auto node_claim = [&](size_t f, NodeId n) {
+    const std::vector<NodeId>& s = starts[f];
+    const size_t r = std::upper_bound(s.begin(), s.end(), n) - s.begin() - 1;
+    const OriginRun& run = fragments[f].origins.runs[r];
+    return Claim{run.first + (n - s[r]), f, 0, n, run.scaffold};
+  };
+  // The claim of fragment `f`'s ancestor chain entry `i`, or of its root
+  // node past the end of the chain.
+  auto chain_claim = [&](size_t f, size_t i) {
+    const auto& chain = fragments[f].origins.ancestors;
+    return i < chain.size() ? Claim{chain[i].first, f, i, kNullNode, true}
+                            : node_claim(f, 0);
+  };
+  std::vector<Claim> roots;
+  for (size_t f = 0; f < fragments.size(); ++f) {
+    if (fragments[f].doc->empty()) continue;
+    roots.push_back(chain_claim(f, 0));
+    if (roots.back().id != roots[0].id) {
       return Status::Corruption("multiple roots while reconstructing '" +
                                 source + "'");
     }
-
-    NodeId created = kNullNode;
-    if (winner->node == kNullNode) {
-      // Ancestor-chain scaffold: always an element.
-      const std::string& name =
-          winner_frag->origin_ancestors()[winner->anc].second;
-      created = winner->parent_src == kNullNode
-                    ? doc->CreateRoot(name)
-                    : doc->AppendElement(parent_new, name);
-    } else {
-      const Document& f = *winner_frag;
-      const NodeId n = winner->node;
-      switch (f.kind(n)) {
-        case NodeKind::kElement:
-          created = winner->parent_src == kNullNode
-                        ? doc->CreateRoot(f.name(n))
-                        : doc->AppendElement(parent_new, f.name(n));
-          break;
-        case NodeKind::kAttribute:
-          if (winner->parent_src == kNullNode) {
-            return Status::Corruption(
-                "non-element root while reconstructing '" + source + "'");
-          }
-          created = doc->AppendAttribute(parent_new, f.name(n), f.value(n));
-          break;
-        case NodeKind::kText:
-          if (winner->parent_src == kNullNode) {
-            return Status::Corruption(
-                "non-element root while reconstructing '" + source + "'");
-          }
-          created = doc->AppendText(parent_new, f.value(n));
-          break;
-      }
-    }
-    rebuilt.emplace(src_id, created);
   }
-  if (doc->empty()) {
+  if (roots.empty()) {
     return Status::Corruption("reconstruction of '" + source +
                               "' produced no nodes");
   }
+
+  // Top-down over groups of claims on one source node. Ids are source
+  // preorder positions, so sorting a node's children by id restores
+  // source order, including subtrees pruned from the middle of a parent
+  // and FragMode2 instances spread over several fragments. A node only
+  // one fragment claims has all its descendants in that fragment and is
+  // copied with its subtree at once. Siblings are pushed in reverse, so
+  // the document is built in preorder.
+  auto doc = std::make_shared<Document>(std::move(pool), source);
+  struct Pending {
+    std::vector<Claim> claims;
+    NodeId parent;  // kNullNode for the root
+  };
+  std::vector<Pending> stack;
+  stack.push_back(Pending{std::move(roots), kNullNode});
+  while (!stack.empty()) {
+    Pending pending = std::move(stack.back());
+    stack.pop_back();
+    const std::vector<Claim>& claims = pending.claims;
+    // A real fragment node wins over scaffolding; two real claimants
+    // violate disjointness.
+    const Claim* winner = &claims[0];
+    for (const Claim& c : claims) {
+      if (&c != winner && !c.scaffold && !winner->scaffold) {
+        return Status::FailedPrecondition(
+            "source node " + std::to_string(c.id) + " of '" + source +
+            "' appears in more than one fragment (disjointness "
+            "violation)");
+      }
+      if (winner->scaffold && !c.scaffold) winner = &c;
+    }
+    const Document& from = *fragments[winner->fragment].doc;
+    const NodeKind kind = winner->node == kNullNode
+                              ? NodeKind::kElement
+                              : from.kind(winner->node);
+    if (pending.parent == kNullNode && kind != NodeKind::kElement) {
+      return Status::Corruption("non-element root while reconstructing '" +
+                                source + "'");
+    }
+    if (claims.size() == 1 && winner->node != kNullNode) {
+      doc->CopySubtree(from, winner->node, pending.parent);
+      continue;
+    }
+    const std::string_view name =
+        winner->node == kNullNode
+            ? std::string_view(fragments[winner->fragment]
+                                   .origins.ancestors[winner->chain]
+                                   .second)
+            : from.name(winner->node);
+    NodeId built;
+    if (kind == NodeKind::kElement) {
+      built = pending.parent == kNullNode
+                  ? doc->CreateRoot(name)
+                  : doc->AppendElement(pending.parent, name);
+    } else if (kind == NodeKind::kAttribute) {
+      built = doc->AppendAttribute(pending.parent, name,
+                                   from.value(winner->node));
+    } else {
+      built = doc->AppendText(pending.parent, from.value(winner->node));
+    }
+
+    std::vector<Claim> children;
+    for (const Claim& c : claims) {
+      if (c.node == kNullNode) {
+        children.push_back(chain_claim(c.fragment, c.chain + 1));
+        continue;
+      }
+      const Document& d = *fragments[c.fragment].doc;
+      for (NodeId ch = d.first_child(c.node); ch != kNullNode;
+           ch = d.next_sibling(ch)) {
+        children.push_back(node_claim(c.fragment, ch));
+      }
+    }
+    if (children.empty()) continue;
+    if (kind != NodeKind::kElement) {
+      return Status::Corruption("source node " + std::to_string(winner->id) +
+                                " of '" + source +
+                                "' is an element in one fragment only");
+    }
+    std::stable_sort(
+        children.begin(), children.end(),
+        [](const Claim& a, const Claim& b) { return a.id < b.id; });
+    for (size_t end = children.size(); end > 0;) {
+      size_t begin = end - 1;
+      while (begin > 0 && children[begin - 1].id == children[end - 1].id) {
+        --begin;
+      }
+      stack.push_back(Pending{{children.begin() + begin,
+                               children.begin() + end},
+                              built});
+      end = begin;
+    }
+  }
   doc->SealLabels();
   return DocumentPtr(doc);
+}
+
+Result<DocumentPtr> JoinFragments(
+    const std::vector<DocumentPtr>& fragment_docs,
+    std::shared_ptr<xml::NamePool> pool) {
+  std::vector<JoinInput> fragments;
+  fragments.reserve(fragment_docs.size());
+  for (const DocumentPtr& doc : fragment_docs) {
+    PARTIX_ASSIGN_OR_RETURN(FragmentOrigins origins, DecodeOrigins(*doc));
+    fragments.push_back(JoinInput{doc, std::move(origins)});
+  }
+  return JoinFragments(fragments, std::move(pool));
 }
 
 }  // namespace partix::frag

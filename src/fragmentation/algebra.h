@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "fragmentation/origins.h"
 #include "xml/collection.h"
 #include "xml/document.h"
 #include "xpath/path.h"
@@ -32,9 +33,8 @@ xml::Collection Select(const xml::Collection& c, const xpath::Conjunction& mu,
 /// restriction: P may not retrieve nodes with cardinality greater than one
 /// unless a positional index pins the occurrence.
 ///
-/// The projected document carries reconstruction IDs: per-node origins,
-/// the source document name, and the (id, name) chain of strict ancestors
-/// of the projected root.
+/// The projected document carries its reconstruction IDs as metadata
+/// (EncodeOrigins).
 Result<xml::DocumentPtr> ProjectDocument(const xml::Document& src,
                                          const xpath::Path& p,
                                          const std::vector<xpath::Path>& gamma,
@@ -46,18 +46,32 @@ Result<xml::Collection> UnionCollections(
     const std::vector<xml::Collection>& fragments,
     const std::string& result_name);
 
+/// One fragment document and its decoded reconstruction IDs.
+struct JoinInput {
+  xml::DocumentPtr doc;
+  FragmentOrigins origins;
+};
+
 /// ⋈ by reconstruction ID: rebuilds one source document from the vertical
-/// fragment documents that originated from it. All inputs must carry
-/// origin tracking for the same source document. Missing ancestors are
-/// re-created from the recorded scaffold chains. Fails when two fragments
-/// claim the same source node (disjointness violation).
+/// fragment documents that originated from it, reading them without
+/// copying them. All inputs must carry reconstruction IDs for the same
+/// source document. Missing ancestors are re-created from the recorded
+/// scaffold chains. Fails when two fragments claim the same source node
+/// (disjointness violation), and with kCorruption when a fragment's
+/// origin ids do not increase along its node order or do not cover
+/// exactly its nodes, or when the fragments disagree on the root.
 ///
-/// Implementation: a sorted label merge. Origin ids are source preorder
-/// positions — prefix labels of the source document — and each fragment
-/// yields its ids in increasing order (ancestor scaffold first, then the
-/// fragment subtree in document order), so reconstruction is a k-way merge
-/// of pre-sorted runs: O(total nodes · k) with no intermediate node table
-/// and no per-node string copies. See docs/structural-index.md.
+/// Implementation: a label merge. Origin ids are source preorder
+/// positions — prefix labels of the source document — so sorting the
+/// children of a shared node by id restores source order, and a node
+/// only one fragment claims is copied with its whole subtree at once: no
+/// node table, no id map. See docs/structural-index.md.
+Result<xml::DocumentPtr> JoinFragments(
+    const std::vector<JoinInput>& fragments,
+    std::shared_ptr<xml::NamePool> pool);
+
+/// JoinFragments over fragment documents whose metadata holds their
+/// reconstruction IDs (the fragmenter's output).
 Result<xml::DocumentPtr> JoinFragments(
     const std::vector<xml::DocumentPtr>& fragment_docs,
     std::shared_ptr<xml::NamePool> pool);

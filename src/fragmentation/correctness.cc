@@ -6,14 +6,13 @@
 
 #include "fragmentation/algebra.h"
 #include "fragmentation/fragmenter.h"
+#include "fragmentation/origins.h"
 #include "fragmentation/reconstruct.h"
 #include "xml/compare.h"
 
 namespace partix::frag {
 
-using xml::Document;
 using xml::DocumentPtr;
-using xml::kNullNode;
 using xml::NodeId;
 
 std::string CorrectnessReport::Summary() const {
@@ -75,20 +74,22 @@ void CheckNodeCoverage(const xml::Collection& c,
 
   for (const xml::Collection& frag : fragments) {
     for (const DocumentPtr& doc : frag.docs()) {
-      if (!doc->origin_tracking() || doc->empty()) continue;
-      const std::string& source = doc->origin_doc();
-      for (const auto& [id, name] : doc->origin_ancestors()) {
+      // IDs that do not decode fail the reconstruction check below.
+      Result<FragmentOrigins> origins = DecodeOrigins(*doc);
+      if (!origins.ok() || origins->source.empty()) continue;
+      const std::string& source = origins->source;
+      for (const auto& [id, name] : origins->ancestors) {
         scaffolded[source].insert(id);
       }
-      doc->VisitSubtree(doc->root(), [&](NodeId n) {
-        NodeId src_id = doc->origin(n);
-        if (src_id == kNullNode) return;
-        if (doc->scaffold(n)) {
-          scaffolded[source].insert(src_id);
-        } else {
-          coverage[source][src_id] += 1;
+      for (const OriginRun& run : origins->runs) {
+        for (uint32_t k = 0; k < run.length; ++k) {
+          if (run.scaffold) {
+            scaffolded[source].insert(run.first + k);
+          } else {
+            coverage[source][run.first + k] += 1;
+          }
         }
-      });
+      }
     }
   }
 

@@ -1,9 +1,9 @@
 #include "fragmentation/fragmenter.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "fragmentation/algebra.h"
+#include "fragmentation/origins.h"
 #include "xpath/eval.h"
 
 namespace partix::frag {
@@ -69,16 +69,6 @@ Status ApplyHybridToDocument(const Document& src, const HybridDef& def,
   }
   if (instances.empty()) return Status::Ok();
 
-  // Ancestor scaffold chains.
-  auto ancestors_of = [&src](NodeId n) {
-    std::vector<std::pair<NodeId, std::string>> chain;
-    for (NodeId a = src.parent(n); a != kNullNode; a = src.parent(a)) {
-      chain.emplace_back(a, std::string(src.name(a)));
-    }
-    std::reverse(chain.begin(), chain.end());
-    return chain;
-  };
-
   if (mode == HybridMode::kOneDocPerSubtree) {
     // FragMode1: each selected instance becomes an independent document.
     size_t seq = 0;
@@ -86,9 +76,10 @@ Status ApplyHybridToDocument(const Document& src, const HybridDef& def,
       auto doc = std::make_shared<Document>(
           src.pool(), src.doc_name() + "#" + def.name + "#" +
                           std::to_string(seq++));
-      doc->EnableOriginTracking(src.doc_name());
       doc->CopySubtree(src, inst, kNullNode, skip);
-      doc->SetOriginAncestors(ancestors_of(inst));
+      FragmentOrigins origins = OriginsAt(src, inst);
+      AddSubtreeOrigins(src, inst, skip, &origins);
+      EncodeOrigins(origins, doc.get());
       PARTIX_RETURN_IF_ERROR(out->Add(std::move(doc)));
     }
     return Status::Ok();
@@ -99,23 +90,21 @@ Status ApplyHybridToDocument(const Document& src, const HybridDef& def,
   // attributes) are scaffolding shared by sibling fragments.
   auto doc = std::make_shared<Document>(src.pool(),
                                         src.doc_name() + "#" + def.name);
-  doc->EnableOriginTracking(src.doc_name());
+  FragmentOrigins origins = OriginsAt(src, container);
   NodeId new_container = doc->CreateRoot(src.name(container));
-  doc->SetOrigin(new_container, container);
-  doc->SetScaffold(new_container, true);
+  AddOrigin(container, /*scaffold=*/true, &origins);
   for (NodeId ch = src.first_child(container); ch != kNullNode;
        ch = src.next_sibling(ch)) {
     if (src.kind(ch) == NodeKind::kAttribute) {
-      NodeId a = doc->AppendAttribute(new_container, src.name(ch),
-                                      src.value(ch));
-      doc->SetOrigin(a, ch);
-      doc->SetScaffold(a, true);
+      doc->AppendAttribute(new_container, src.name(ch), src.value(ch));
+      AddOrigin(ch, /*scaffold=*/true, &origins);
     }
   }
   for (NodeId inst : instances) {
     doc->CopySubtree(src, inst, new_container, skip);
+    AddSubtreeOrigins(src, inst, skip, &origins);
   }
-  doc->SetOriginAncestors(ancestors_of(container));
+  EncodeOrigins(origins, doc.get());
   return out->Add(std::move(doc));
 }
 

@@ -18,19 +18,21 @@ Result<xml::Collection> ReconstructVertical(
   if (pool == nullptr) pool = std::make_shared<xml::NamePool>();
   // Group fragment documents by source document name. std::map keeps the
   // output deterministic.
-  std::map<std::string, std::vector<xml::DocumentPtr>> groups;
+  std::map<std::string, std::vector<JoinInput>> groups;
   xml::SchemaPtr schema;
   std::string root_path;
   xml::RepoKind kind = xml::RepoKind::kMultipleDocuments;
   for (const xml::Collection& frag : fragments) {
     if (schema == nullptr) schema = frag.schema();
     for (const xml::DocumentPtr& doc : frag.docs()) {
-      if (!doc->origin_tracking()) {
+      PARTIX_ASSIGN_OR_RETURN(FragmentOrigins origins, DecodeOrigins(*doc));
+      if (origins.source.empty()) {
         return Status::FailedPrecondition(
             "fragment document '" + doc->doc_name() +
             "' carries no reconstruction IDs");
       }
-      groups[doc->origin_doc()].push_back(doc);
+      std::vector<JoinInput>& group = groups[origins.source];
+      group.push_back(JoinInput{doc, std::move(origins)});
     }
   }
   if (groups.size() == 1) kind = xml::RepoKind::kSingleDocument;

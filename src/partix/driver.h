@@ -109,7 +109,7 @@ class Driver {
   /// Opens a block stream over a handle obtained from this driver's
   /// Prepare. Pays no parse and no static analysis
   /// (`metrics().compile_ms == 0`). Implementations stamp each block's
-  /// digest (FNV-1a of its bytes) node-side before it crosses the wire,
+  /// digest (XXH64 of its bytes) node-side before it crosses the wire,
   /// so the executor can detect in-flight corruption end to end. `exec`
   /// carries per-call knobs (block size, intra-node morsel parallelism);
   /// drivers that cannot honor morsels run sequentially — results are

@@ -10,26 +10,7 @@
 
 namespace partix::middleware {
 
-using xml::Document;
 using xml::DocumentPtr;
-using xml::kNullNode;
-using xml::NodeId;
-using xml::NodeKind;
-
-DocumentPtr ToWireFormat(const DocumentPtr& doc) {
-  if (!doc->origin_tracking() || doc->empty()) return doc;
-  auto out = std::make_shared<Document>(doc->pool(), doc->doc_name());
-  out->CopySubtree(*doc, doc->root(), kNullNode);
-  out->SetMetadata("px-src", doc->origin_doc());
-  out->SetMetadata("px-root", std::to_string(doc->origin(doc->root())));
-  std::string anc;
-  for (const auto& [id, name] : doc->origin_ancestors()) {
-    if (!anc.empty()) anc.push_back(',');
-    anc += std::to_string(id) + ":" + name;
-  }
-  out->SetMetadata("px-anc", anc);
-  return out;
-}
 
 Status DataPublisher::PublishCentralized(const xml::Collection& c,
                                          size_t node) {
@@ -76,9 +57,8 @@ Status DataPublisher::StoreFragments(
     std::vector<xdb::StoredDoc> wire_docs;
     wire_docs.reserve(frag_coll.docs().size());
     for (const DocumentPtr& doc : frag_coll.docs()) {
-      DocumentPtr wire = ToWireFormat(doc);
       wire_docs.push_back(xdb::StoredDoc{
-          wire->doc_name(), xml::Serialize(*wire), wire->metadata()});
+          doc->doc_name(), xml::Serialize(*doc), doc->metadata()});
     }
     // Digest in name order, matching Database::CollectionContentDigest.
     std::sort(wire_docs.begin(), wire_docs.end(),

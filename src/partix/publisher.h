@@ -16,10 +16,11 @@ namespace partix::middleware {
 /// sends the resulting fragments to be stored at the remote DBMS nodes,
 /// registering the design in the distribution catalog.
 ///
-/// Vertical/hybrid fragment documents are shipped in a wire format that
-/// carries the reconstruction IDs (px-src, px-root, px-anc) as out-of-band
-/// document metadata so that the query service can join partial results —
-/// "we keep an ID in each vertical fragment for reconstruction purposes".
+/// Vertical/hybrid fragment documents carry their reconstruction IDs as
+/// out-of-band document metadata (frag::EncodeOrigins), which the stores
+/// keep beside the serialized XML so that the query service can join
+/// partial results — "we keep an ID in each vertical fragment for
+/// reconstruction purposes".
 class DataPublisher {
  public:
   DataPublisher(ClusterSim* cluster, DistributionCatalog* catalog)
@@ -64,12 +65,6 @@ class DataPublisher {
   ClusterSim* cluster_;
   DistributionCatalog* catalog_;
 };
-
-/// Builds the wire-format twin of a fragment document: identical content,
-/// with the reconstruction IDs (px-src / px-root / px-anc) attached as
-/// out-of-band document metadata that stores persist and queries never
-/// see. Documents without origin tracking are returned unchanged.
-xml::DocumentPtr ToWireFormat(const xml::DocumentPtr& doc);
 
 }  // namespace partix::middleware
 

@@ -9,6 +9,7 @@
 #include "common/clock.h"
 #include "common/strings.h"
 #include "engine/database.h"
+#include "fragmentation/algebra.h"
 #include "partix/executor.h"
 #include "partix/stream.h"
 #include "telemetry/metrics.h"
@@ -20,136 +21,7 @@ namespace partix::middleware {
 
 namespace {
 
-using xml::Document;
 using xml::DocumentPtr;
-using xml::kNullNode;
-using xml::NodeId;
-using xml::NodeKind;
-
-/// One fetched fragment document plus its parsed wire metadata.
-struct FetchedDoc {
-  DocumentPtr doc;
-  std::string src;                       // px-src (or own name)
-  uint64_t root_id = 0;                  // px-root
-  std::vector<std::pair<uint64_t, std::string>> ancestors;  // px-anc
-  bool has_wire_ids = false;
-};
-
-Result<FetchedDoc> ParseWireDoc(DocumentPtr doc) {
-  FetchedDoc out;
-  out.doc = std::move(doc);
-  const Document& d = *out.doc;
-  if (d.empty()) {
-    return Status::InvalidArgument("empty fragment document");
-  }
-  out.src = d.doc_name();
-  // Reconstruction IDs travel as out-of-band document metadata so they
-  // never appear in query results.
-  std::string src = d.GetMetadata("px-src");
-  if (!src.empty()) {
-    out.src = src;
-    out.has_wire_ids = true;
-    int64_t v = 0;
-    if (!ParseInt64(d.GetMetadata("px-root"), &v)) {
-      return Status::Corruption("bad px-root metadata on '" +
-                                d.doc_name() + "'");
-    }
-    out.root_id = static_cast<uint64_t>(v);
-    // Materialize the metadata string: SplitSkipEmpty returns views into
-    // it, and a temporary would die at the end of the range-init
-    // expression, leaving them dangling.
-    const std::string ancestors = d.GetMetadata("px-anc");
-    for (std::string_view entry : SplitSkipEmpty(ancestors, ',')) {
-      size_t colon = entry.find(':');
-      if (colon == std::string_view::npos) {
-        return Status::Corruption("bad px-anc metadata");
-      }
-      int64_t id = 0;
-      if (!ParseInt64(entry.substr(0, colon), &id)) {
-        return Status::Corruption("bad px-anc id");
-      }
-      out.ancestors.emplace_back(static_cast<uint64_t>(id),
-                                 std::string(entry.substr(colon + 1)));
-    }
-  }
-  return out;
-}
-
-/// Copies the attributes and children of `src_root` under `dst_parent`.
-void CopyContentInto(Document* dst, NodeId dst_parent, const Document& src,
-                     NodeId src_root) {
-  for (NodeId c = src.first_child(src_root); c != kNullNode;
-       c = src.next_sibling(c)) {
-    dst->CopySubtree(src, c, dst_parent);
-  }
-}
-
-/// Joins the fragment documents of one source document (sorted by root
-/// id) into a single document approximating the original structure:
-/// scaffolding ancestors are re-created, containers with equal
-/// reconstruction ids are merged, fragment subtrees are attached in
-/// reconstruction-id order.
-Result<DocumentPtr> JoinGroup(const std::string& source,
-                              std::vector<FetchedDoc> docs,
-                              const std::shared_ptr<xml::NamePool>& pool) {
-  // Stable: fragments sharing a reconstruction id (FragMode2 siblings
-  // merged into one container) must keep their arrival order, or the
-  // merged children permute across runs.
-  std::stable_sort(docs.begin(), docs.end(),
-                   [](const FetchedDoc& a, const FetchedDoc& b) {
-                     return a.root_id < b.root_id;
-                   });
-  auto out = std::make_shared<Document>(pool, source);
-  std::map<uint64_t, NodeId> containers;  // reconstruction id -> built node
-
-  for (const FetchedDoc& fd : docs) {
-    const Document& d = *fd.doc;
-    NodeId frag_root = d.root();
-    // Ensure the ancestor chain exists.
-    NodeId parent = kNullNode;
-    for (const auto& [id, name] : fd.ancestors) {
-      auto it = containers.find(id);
-      if (it == containers.end()) {
-        NodeId built = parent == kNullNode && out->empty()
-                           ? out->CreateRoot(name)
-                           : out->AppendElement(
-                                 parent == kNullNode ? out->root() : parent,
-                                 name);
-        containers.emplace(id, built);
-        parent = built;
-      } else {
-        parent = it->second;
-      }
-    }
-    auto it = containers.find(fd.root_id);
-    if (it != containers.end()) {
-      // Merge into an existing container (FragMode2 siblings, or a base
-      // fragment arriving after a scaffold was created).
-      CopyContentInto(out.get(), it->second, d, frag_root);
-      continue;
-    }
-    NodeId attached;
-    if (parent == kNullNode) {
-      if (out->empty()) {
-        attached = out->CreateRoot(d.name(frag_root));
-      } else {
-        return Status::Corruption(
-            "fragment of '" + source +
-            "' has no ancestor chain but a root already exists");
-      }
-    } else {
-      attached = out->AppendElement(parent, d.name(frag_root));
-    }
-    containers.emplace(fd.root_id, attached);
-    CopyContentInto(out.get(), attached, d, frag_root);
-  }
-  if (out->empty()) {
-    return Status::Corruption("join of '" + source + "' produced nothing");
-  }
-  // Sealed before sharing, so label-range steps serve the evaluation.
-  out->SealLabels();
-  return DocumentPtr(out);
-}
 
 /// Join-reconstruct composition: joins the fetched fragment documents of
 /// each source document, then evaluates the plan's original query once
@@ -158,8 +30,9 @@ Result<std::string> ComposeJoin(const std::string& collection,
                                 const xquery::CompiledQuery& query,
                                 const std::vector<xquery::Sequence>& lanes,
                                 uint64_t* result_items) {
-  // Group fetched documents by source document.
-  std::map<std::string, std::vector<FetchedDoc>> groups;
+  // Group fetched documents by source document; a document without
+  // reconstruction IDs is a whole document, grouped under its own name.
+  std::map<std::string, std::vector<frag::JoinInput>> groups;
   for (const xquery::Sequence& lane : lanes) {
     for (const xquery::Item& item : lane) {
       if (!item.IsNode()) {
@@ -172,8 +45,12 @@ Result<std::string> ComposeJoin(const std::string& collection,
         return Status::Internal(
             "fetch sub-query returned a non-document node");
       }
-      PARTIX_ASSIGN_OR_RETURN(FetchedDoc fd, ParseWireDoc(ref.doc));
-      groups[fd.src].push_back(std::move(fd));
+      PARTIX_ASSIGN_OR_RETURN(frag::FragmentOrigins origins,
+                              frag::DecodeOrigins(*ref.doc));
+      std::vector<frag::JoinInput>& group =
+          groups[origins.source.empty() ? ref.doc->doc_name()
+                                        : origins.source];
+      group.push_back(frag::JoinInput{ref.doc, std::move(origins)});
     }
   }
 
@@ -181,16 +58,14 @@ Result<std::string> ComposeJoin(const std::string& collection,
   std::map<std::string, std::vector<DocumentPtr>> collections;
   std::vector<DocumentPtr>& docs = collections[collection];
   docs.reserve(groups.size());
-  for (auto& [source, fetched] : groups) {
-    bool wire = false;
-    for (const FetchedDoc& fd : fetched) wire = wire || fd.has_wire_ids;
-    if (!wire && fetched.size() == 1) {
+  for (auto& [source, fragments] : groups) {
+    if (fragments.size() == 1 && fragments[0].origins.source.empty()) {
       // Whole-document fragment (horizontal fetch): served as fetched.
-      docs.push_back(std::move(fetched[0].doc));
+      docs.push_back(std::move(fragments[0].doc));
       continue;
     }
     PARTIX_ASSIGN_OR_RETURN(DocumentPtr joined,
-                            JoinGroup(source, std::move(fetched), pool));
+                            frag::JoinFragments(fragments, pool));
     docs.push_back(std::move(joined));
   }
 

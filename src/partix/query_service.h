@@ -195,7 +195,7 @@ struct ExecutionOptions {
   /// End-to-end integrity: verify each sub-query response against its
   /// node-stamped digest; a mismatch is treated as a retryable node
   /// fault (discard, fail over). On by default — the check is one
-  /// FNV-1a pass over bytes the coordinator already holds.
+  /// XXH64 pass over bytes the coordinator already holds.
   bool verify_integrity = true;
   /// Record a per-query span tree on `DistributedResult::trace`. Tracing
   /// allocates span nodes on the coordinator and in each worker's outcome

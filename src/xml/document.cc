@@ -63,7 +63,6 @@ NodeId Document::NewNode(NodeKind kind, NameId name, uint32_t value,
     }
     p.last_child = id;
   }
-  if (origin_tracking_) origins_.push_back(kNullNode);
   return id;
 }
 
@@ -116,7 +115,6 @@ NodeId Document::CopySubtree(const Document& src, NodeId src_root,
     default:
       return kNullNode;
   }
-  if (origin_tracking_) SetOrigin(copied, src_root);
   if (src.kind(src_root) == NodeKind::kElement) {
     for (NodeId c = src.first_child(src_root); c != kNullNode;
          c = src.next_sibling(c)) {
@@ -190,7 +188,7 @@ size_t Document::ApproxBytes() const {
   // chunk's capacity depends on which idle chunk the pool handed out, so
   // charging it would make cache eviction depend on pool history.
   size_t bytes = sizeof(Document) + arena_.used_bytes();
-  bytes += HeapBytes(doc_name_) + HeapBytes(origin_doc_);
+  bytes += HeapBytes(doc_name_);
   // A red-black tree node: colour word and three links, then the entry.
   constexpr size_t kMapNodeHeader = 4 * sizeof(void*);
   for (const auto& entry : metadata_) {
@@ -199,10 +197,7 @@ size_t Document::ApproxBytes() const {
   }
   bytes += CapacityBytes(nodes_) + CapacityBytes(texts_) +
            CapacityBytes(labels_) + CapacityBytes(pre_to_node_) +
-           CapacityBytes(occ_pre_) + CapacityBytes(occ_runs_) +
-           CapacityBytes(origins_) + scaffold_.capacity() / 8 +
-           CapacityBytes(origin_ancestors_);
-  for (const auto& [node, name] : origin_ancestors_) bytes += HeapBytes(name);
+           CapacityBytes(occ_pre_) + CapacityBytes(occ_runs_);
   return bytes;
 }
 
@@ -309,24 +304,6 @@ bool Document::IsAncestor(NodeId anc, NodeId desc) const {
     if (p == anc) return true;
   }
   return false;
-}
-
-void Document::EnableOriginTracking(std::string source_doc) {
-  origin_tracking_ = true;
-  origin_doc_ = std::move(source_doc);
-  origins_.assign(nodes_.size(), kNullNode);
-}
-
-void Document::SetOrigin(NodeId n, NodeId src) {
-  assert(origin_tracking_);
-  if (n >= origins_.size()) origins_.resize(nodes_.size(), kNullNode);
-  origins_[n] = src;
-}
-
-void Document::SetScaffold(NodeId n, bool scaffold) {
-  assert(origin_tracking_);
-  if (n >= scaffold_.size()) scaffold_.resize(nodes_.size(), false);
-  scaffold_[n] = scaffold;
 }
 
 }  // namespace partix::xml

@@ -64,11 +64,6 @@ struct NodeLabel {
 /// (by convention before any element/text children) and carry their value
 /// inline, which matches the paper's "attribute node with a single value
 /// child" up to one indirection.
-///
-/// A document can optionally track *origins*: the id of the corresponding
-/// node in a source document. Vertical fragmentation uses origins as the
-/// reconstruction IDs the paper requires ("we keep an ID in each vertical
-/// fragment for reconstruction purposes").
 class Document {
  public:
   /// Creates an empty document. `name` identifies the document within its
@@ -111,9 +106,8 @@ class Document {
   /// Copies the subtree rooted at `src_root` in `src` under `dst_parent`
   /// (or as this document's root if `dst_parent` is kNullNode). `skip`
   /// (optional) is consulted for every source node; returning true prunes
-  /// that node and its subtree. Origin tracking, if enabled, records each
-  /// copied node's source id. Returns the id of the copied root, or
-  /// kNullNode if the root itself was skipped.
+  /// that node and its subtree. Copies in document order. Returns the id
+  /// of the copied root, or kNullNode if the root itself was skipped.
   NodeId CopySubtree(const Document& src, NodeId src_root, NodeId dst_parent,
                      const std::function<bool(NodeId)>& skip = nullptr);
 
@@ -221,45 +215,6 @@ class Document {
   /// malloc headers (docs/memory.md).
   size_t ApproxBytes() const;
 
-  // ---- Origin tracking (vertical fragmentation reconstruction IDs) ----
-
-  /// Enables origin tracking; `source_doc` names the document the origins
-  /// refer to.
-  void EnableOriginTracking(std::string source_doc);
-
-  bool origin_tracking() const { return origin_tracking_; }
-  const std::string& origin_doc() const { return origin_doc_; }
-
-  /// Records that node `n` came from node `src` of the origin document.
-  void SetOrigin(NodeId n, NodeId src);
-
-  /// Origin id of `n` (kNullNode if untracked).
-  NodeId origin(NodeId n) const {
-    return origin_tracking_ && n < origins_.size() ? origins_[n] : kNullNode;
-  }
-
-  /// Marks node `n` as *scaffolding*: replicated container structure (e.g.
-  /// the shared root of a FragMode2 hybrid fragment) that is not fragment
-  /// data. Scaffold nodes are exempt from disjointness and merged during
-  /// reconstruction. Pre: origin tracking enabled.
-  void SetScaffold(NodeId n, bool scaffold);
-  bool scaffold(NodeId n) const {
-    return origin_tracking_ && n < scaffold_.size() && scaffold_[n];
-  }
-
-  /// Scaffolding for reconstruction: the strict ancestors of this
-  /// fragment's projected root in the source document, as (source node id,
-  /// element name) pairs in root-to-parent order. Ancestors are *not* part
-  /// of the fragment's data; reconstruction re-creates them when no other
-  /// fragment holds them.
-  void SetOriginAncestors(std::vector<std::pair<NodeId, std::string>> a) {
-    origin_ancestors_ = std::move(a);
-  }
-  const std::vector<std::pair<NodeId, std::string>>& origin_ancestors()
-      const {
-    return origin_ancestors_;
-  }
-
  private:
   struct NodeData {
     NodeKind kind;
@@ -304,12 +259,6 @@ class Document {
   // within each name, and one run per distinct name sorted by NameId.
   std::vector<uint32_t> occ_pre_;
   std::vector<NameRun> occ_runs_;
-
-  bool origin_tracking_ = false;
-  std::string origin_doc_;
-  std::vector<NodeId> origins_;
-  std::vector<bool> scaffold_;
-  std::vector<std::pair<NodeId, std::string>> origin_ancestors_;
 };
 
 /// Shared ownership alias used throughout the engine: documents are

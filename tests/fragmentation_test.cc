@@ -6,6 +6,7 @@
 #include "fragmentation/correctness.h"
 #include "fragmentation/fragment_def.h"
 #include "fragmentation/fragmenter.h"
+#include "fragmentation/origins.h"
 #include "fragmentation/reconstruct.h"
 #include "gtest/gtest.h"
 #include "xml/compare.h"
@@ -92,10 +93,11 @@ TEST_F(ItemsFixture, ProjectSubtree) {
   ASSERT_NE(*result, nullptr);
   const xml::Document& doc = **result;
   EXPECT_EQ(doc.name(doc.root()), "PictureList");
-  EXPECT_TRUE(doc.origin_tracking());
-  EXPECT_EQ(doc.origin_doc(), "item0");
-  ASSERT_EQ(doc.origin_ancestors().size(), 1u);
-  EXPECT_EQ(doc.origin_ancestors()[0].second, "Item");
+  auto origins = frag::DecodeOrigins(doc);
+  ASSERT_TRUE(origins.ok()) << origins.status();
+  EXPECT_EQ(origins->source, "item0");
+  ASSERT_EQ(origins->ancestors.size(), 1u);
+  EXPECT_EQ(origins->ancestors[0].second, "Item");
 }
 
 TEST_F(ItemsFixture, ProjectWithPrune) {

@@ -11,15 +11,27 @@
 //     nothing
 //   - collection scope: the joined documents answer only the plan's
 //     collection; any other name fails as the engine would
+//   - source order: hybrid Store joins answer byte-identically to the
+//     centralized Store, in both FragModes, where subtrees pruned from
+//     the middle of a parent and interleaved instances must land back in
+//     their source positions
+//   - wire round trip: every stored fragment decodes to the origin id and
+//     scaffold flag of every node the fragmenter recorded
+//   - hostile metadata: missing, unparsable, non-increasing or
+//     wrong-length reconstruction IDs fail the query with kCorruption
+//     naming the document
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "engine/database.h"
+#include "fragmentation/algebra.h"
 #include "fragmentation/fragmenter.h"
-#include "fragmentation/reconstruct.h"
+#include "fragmentation/origins.h"
+#include "gen/virtual_store.h"
 #include "gen/xbench.h"
 #include "gtest/gtest.h"
 #include "partix/query_service.h"
@@ -70,16 +82,27 @@ TEST_P(JoinComposeByteExactP, AnswersEqualTheReconstructedCollection) {
   ASSERT_NO_FATAL_FAILURE(DeployArticles(GetParam(), &setup));
   const xml::Collection& data = setup.data;
 
-  // Oracle: fragment, rebuild every article, store the rebuilt collection
-  // in a fresh engine and run the original query there.
+  // Oracle: fragment, rebuild every article with the value join (an
+  // implementation independent of the label merge the query path runs),
+  // store the rebuilt articles in source-name order in a fresh engine and
+  // run the original query there.
   auto fragments = frag::ApplyFragmentation(data, setup.schema);
   ASSERT_TRUE(fragments.ok()) << fragments.status();
-  auto rebuilt = frag::ReconstructVertical(*fragments, data.name(), nullptr);
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
+  std::map<std::string, std::vector<xml::DocumentPtr>> by_source;
+  for (const xml::Collection& fragment : *fragments) {
+    for (const xml::DocumentPtr& doc : fragment.docs()) {
+      auto origins = frag::DecodeOrigins(*doc);
+      ASSERT_TRUE(origins.ok()) << origins.status();
+      by_source[origins->source].push_back(doc);
+    }
+  }
   xdb::Database reference;
   ASSERT_TRUE(reference.CreateCollection(data.name()).ok());
-  for (const xml::DocumentPtr& doc : rebuilt->docs()) {
-    ASSERT_TRUE(reference.StoreDocument(data.name(), *doc).ok());
+  for (const auto& [source, docs] : by_source) {
+    auto rebuilt = frag::JoinFragmentsValueJoin(
+        docs, std::make_shared<xml::NamePool>());
+    ASSERT_TRUE(rebuilt.ok()) << source << ": " << rebuilt.status();
+    ASSERT_TRUE(reference.StoreDocument(data.name(), **rebuilt).ok());
   }
 
   size_t joins = 0;
@@ -169,6 +192,256 @@ TEST(JoinComposeTest, OtherCollectionsDoNotExist) {
   auto counted = setup.service().ExecutePlan(*plan);
   ASSERT_TRUE(counted.ok()) << counted.status();
   EXPECT_EQ(counted->serialized, "4");
+}
+
+// --- hybrid Store: source order survives the join -----------------------
+
+/// A 24-item Store split by the StoreHyb design into F1 (the Store without
+/// its Items) and four Item fragments, deployed fragmented and centralized.
+struct StoreSetup {
+  xml::Collection data;
+  frag::FragmentationSchema schema;
+  std::unique_ptr<workload::Deployment> fragmented;
+  std::unique_ptr<workload::Deployment> centralized;
+};
+
+void DeployStore(frag::HybridMode mode, StoreSetup* out) {
+  gen::StoreGenOptions options;
+  options.seed = 5;
+  options.item_count = 24;
+  options.large_items = false;
+  auto store = gen::GenerateStore(options, nullptr);
+  ASSERT_TRUE(store.ok()) << store.status();
+  out->data = std::move(*store);
+  auto schema = workload::StoreHybridSchema(out->data.name(),
+                                            options.sections, 4, mode);
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  out->schema = std::move(*schema);
+  auto fragmented = workload::Deployment::Fragmented(
+      out->data, out->schema, xdb::DatabaseOptions(), NetworkModel());
+  ASSERT_TRUE(fragmented.ok()) << fragmented.status();
+  out->fragmented = std::move(*fragmented);
+  auto centralized = workload::Deployment::Centralized(
+      out->data, xdb::DatabaseOptions(), NetworkModel());
+  ASSERT_TRUE(centralized.ok()) << centralized.status();
+  out->centralized = std::move(*centralized);
+}
+
+std::string ModeName(frag::HybridMode mode) {
+  return mode == frag::HybridMode::kOneDocPerSubtree ? "FragMode1"
+                                                     : "FragMode2";
+}
+
+class StoreJoinP : public ::testing::TestWithParam<frag::HybridMode> {};
+
+TEST_P(StoreJoinP, AnswersEqualTheCentralizedStore) {
+  StoreSetup setup;
+  ASSERT_NO_FATAL_FAILURE(DeployStore(GetParam(), &setup));
+  // Items is the Store's second child, between Sections and Employees,
+  // and F1 prunes it from there; the Item instances interleave across
+  // the four Item fragments.
+  const std::vector<std::string> queries = {
+      "count(collection(\"store\")/Store/*[2]/Item)",
+      "for $x in collection(\"store\")/Store/* return name($x)",
+      "for $i in collection(\"store\")/Store/*/Item return string($i/Code)"};
+  for (const std::string& query : queries) {
+    auto expected = setup.centralized->service().Execute(query);
+    ASSERT_TRUE(expected.ok()) << query << ": " << expected.status();
+    auto plan = setup.fragmented->service().decomposer().Decompose(query);
+    ASSERT_TRUE(plan.ok()) << query << ": " << plan.status();
+    EXPECT_EQ(plan->composition, Composition::kJoinReconstruct) << query;
+    for (bool streaming : {true, false}) {
+      ExecutionOptions options;
+      options.streaming = streaming;
+      auto result = setup.fragmented->service().Execute(query, options);
+      ASSERT_TRUE(result.ok()) << query << ": " << result.status();
+      EXPECT_EQ(result->serialized, expected->serialized)
+          << query << " streaming=" << streaming;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, StoreJoinP,
+    ::testing::Values(frag::HybridMode::kOneDocPerSubtree,
+                      frag::HybridMode::kSinglePrunedDoc),
+    [](const ::testing::TestParamInfo<frag::HybridMode>& info) {
+      return ModeName(info.param);
+    });
+
+// --- wire round trip -------------------------------------------------------
+
+/// Publishes `data` under `schema`, reads every fragment's documents back
+/// from its node and checks their decoded reconstruction IDs: they equal
+/// what the fragmenter attached, and, independently of the encoder, each
+/// node's origin is a source node of the same kind, name and value, the
+/// ancestor chain is the source's, and only the container root of a
+/// FragMode2 instance fragment and its attributes are scaffolding.
+void ExpectOriginsSurviveTheWire(const xml::Collection& data,
+                                 const frag::FragmentationSchema& schema,
+                                 const std::string& design) {
+  auto fragments = frag::ApplyFragmentation(data, schema);
+  ASSERT_TRUE(fragments.ok()) << design << ": " << fragments.status();
+  auto deployment = workload::Deployment::Fragmented(
+      data, schema, xdb::DatabaseOptions(), NetworkModel());
+  ASSERT_TRUE(deployment.ok()) << design << ": " << deployment.status();
+  std::map<std::string, const xml::Document*> sources;
+  for (const xml::DocumentPtr& doc : data.docs()) {
+    sources[doc->doc_name()] = doc.get();
+  }
+  size_t checked = 0;
+  size_t scaffold_nodes = 0;
+  for (size_t i = 0; i < fragments->size(); ++i) {
+    const xml::Collection& fragment = (*fragments)[i];
+    const frag::FragmentDef& def = schema.fragments[i];
+    // FragMode2 instance fragments replicate their container.
+    const bool has_container = design == "FragMode2" &&
+                               def.kind() == frag::FragmentKind::kHybrid &&
+                               !def.hybrid().mu.IsTrue();
+    // Deployment::Fragmented places fragment i at node i.
+    auto fetched = (*deployment)->cluster().database(i).AllDocuments(
+        fragment.name());
+    ASSERT_TRUE(fetched.ok()) << design << ": " << fetched.status();
+    ASSERT_EQ(fetched->size(), fragment.docs().size()) << fragment.name();
+    for (size_t d = 0; d < fetched->size(); ++d) {
+      const xml::Document& got = *(*fetched)[d];
+      const std::string where = design + " " + got.doc_name();
+      ASSERT_EQ(got.doc_name(), fragment.docs()[d]->doc_name()) << where;
+      auto sent = frag::DecodeOrigins(*fragment.docs()[d]);
+      auto origins = frag::DecodeOrigins(got);
+      ASSERT_TRUE(sent.ok()) << where << ": " << sent.status();
+      ASSERT_TRUE(origins.ok()) << where << ": " << origins.status();
+      EXPECT_EQ(origins->source, sent->source) << where;
+      EXPECT_EQ(origins->ancestors, sent->ancestors) << where;
+      ASSERT_EQ(origins->runs.size(), sent->runs.size()) << where;
+
+      const xml::Document* src = sources[origins->source];
+      ASSERT_NE(src, nullptr) << where;
+      xml::NodeId n = 0;
+      for (const frag::OriginRun& run : origins->runs) {
+        for (uint32_t k = 0; k < run.length; ++k, ++n) {
+          ASSERT_LT(n, got.node_count()) << where;
+          const xml::NodeId id = run.first + k;
+          ASSERT_LT(id, src->node_count()) << where;
+          ASSERT_EQ(src->kind(id), got.kind(n)) << where << " node " << n;
+          if (got.kind(n) != xml::NodeKind::kText) {
+            EXPECT_EQ(src->name(id), got.name(n)) << where << " node " << n;
+          }
+          if (got.kind(n) != xml::NodeKind::kElement) {
+            EXPECT_EQ(src->value(id), got.value(n)) << where << " node " << n;
+          }
+          const bool container =
+              has_container &&
+              (n == 0 || (got.parent(n) == 0 &&
+                          got.kind(n) == xml::NodeKind::kAttribute));
+          EXPECT_EQ(run.scaffold, container) << where << " node " << n;
+          scaffold_nodes += run.scaffold ? 1 : 0;
+        }
+      }
+      EXPECT_EQ(n, got.node_count()) << where;
+      std::vector<std::pair<xml::NodeId, std::string>> chain;
+      for (xml::NodeId a = src->parent(origins->runs[0].first);
+           a != xml::kNullNode; a = src->parent(a)) {
+        chain.insert(chain.begin(), {a, std::string(src->name(a))});
+      }
+      EXPECT_EQ(origins->ancestors, chain) << where;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u) << design;
+  EXPECT_EQ(scaffold_nodes > 0, design == "FragMode2") << design;
+}
+
+TEST(JoinComposeTest, OriginsSurviveTheWireInEveryDesign) {
+  VerticalSetup vertical;
+  ASSERT_NO_FATAL_FAILURE(DeployArticles(ArticleScale{4, 3000}, &vertical));
+  ExpectOriginsSurviveTheWire(vertical.data, vertical.schema, "vertical");
+  for (frag::HybridMode mode : {frag::HybridMode::kOneDocPerSubtree,
+                                frag::HybridMode::kSinglePrunedDoc}) {
+    StoreSetup store;
+    ASSERT_NO_FATAL_FAILURE(DeployStore(mode, &store));
+    ExpectOriginsSurviveTheWire(store.data, store.schema, ModeName(mode));
+  }
+}
+
+// --- hostile reconstruction metadata --------------------------------------
+
+TEST(JoinComposeTest, BadOriginMetadataIsCorruption) {
+  // Source <wrap><s><x>L</x><x>R</x></s></wrap>: wrap 0, s 1, x 2 and 4,
+  // texts 3 and 5. "d_good" is the left half; "d_bad" holds the right
+  // half under each broken variant of its metadata.
+  const std::map<std::string, std::string> good = {
+      {"px-src", "d"}, {"px-runs", "1:1:1,2:2:0"}, {"px-anc", "0:wrap"}};
+  const std::map<std::string, std::string> right = {
+      {"px-src", "d"}, {"px-runs", "1:1:1,4:2:0"}, {"px-anc", "0:wrap"}};
+  struct Variant {
+    std::string what;
+    std::string key;
+    std::string value;  // "-" erases the key
+  };
+  const std::vector<Variant> variants = {
+      {"missing runs", "px-runs", "-"},
+      {"missing ancestors", "px-anc", "-"},
+      {"empty source", "px-src", ""},
+      {"non-numeric length", "px-runs", "1:1:1,4:x:0"},
+      {"two fields", "px-runs", "1:1,4:2:0"},
+      {"negative id", "px-runs", "-1:1:1,4:2:0"},
+      {"bad scaffold flag", "px-runs", "1:1:2,4:2:0"},
+      {"id past NodeId", "px-runs", "1:1:1,99999999999:2:0"},
+      {"bad ancestor", "px-anc", "wrap"},
+      {"unnamed ancestor", "px-anc", "0:"},
+      {"repeated id", "px-runs", "1:1:1,1:2:0"},
+      {"decreasing runs", "px-runs", "4:2:0,1:1:1"},
+      {"ancestor after root", "px-anc", "7:wrap"},
+      {"sentinel id", "px-runs", "1:1:1,4294967294:2:0"},
+      {"too short", "px-runs", "1:1:1,4:1:0"},
+      {"too long", "px-runs", "1:1:1,4:5:0"},
+      {"zero-length run", "px-runs", "1:1:1,4:0:0,4:2:0"},
+      {"no runs", "px-runs", ""},
+      {"second root", "px-anc", ""},
+  };
+  for (const Variant& v : variants) {
+    std::map<std::string, std::string> bad = right;
+    if (v.value == "-") {
+      bad.erase(v.key);
+    } else {
+      bad[v.key] = v.value;
+    }
+    DistributionCatalog catalog;
+    ClusterSim cluster(2, xdb::DatabaseOptions(), NetworkModel());
+    ASSERT_TRUE(cluster.node(0).CreateCollection("f_good", {}).ok());
+    ASSERT_TRUE(cluster.node(1).CreateCollection("f_bad", {}).ok());
+    ASSERT_TRUE(cluster.node(0)
+                    .StoreSerializedDocument("f_good", "d_good",
+                                             "<s><x>L</x></s>", good)
+                    .ok());
+    ASSERT_TRUE(cluster.node(1)
+                    .StoreSerializedDocument("f_bad", "d_bad",
+                                             "<s><x>R</x></s>", bad)
+                    .ok());
+    QueryService service(&cluster, &catalog);
+    DistributedPlan plan;
+    plan.collection = "joined";
+    plan.original_query = "collection(\"joined\")/wrap";
+    plan.composition = Composition::kJoinReconstruct;
+    plan.subqueries.push_back({.fragment = "f_good",
+                               .node = 0,
+                               .query = "collection(\"f_good\")"});
+    plan.subqueries.push_back({.fragment = "f_bad",
+                               .node = 1,
+                               .query = "collection(\"f_bad\")"});
+    auto result = service.ExecutePlan(plan);
+    ASSERT_FALSE(result.ok()) << v.what;
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+        << v.what << ": " << result.status();
+    // Consistent IDs that place the right half beside wrap instead of in
+    // it make a second root of source 'd'; every other variant is wrong
+    // in d_bad itself.
+    EXPECT_NE(result.status().message().find(
+                  v.what == "second root" ? "'d'" : "'d_bad'"),
+              std::string::npos)
+        << v.what << ": " << result.status();
+  }
 }
 
 }  // namespace

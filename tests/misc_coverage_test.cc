@@ -5,8 +5,8 @@
 #include <memory>
 
 #include "fragmentation/algebra.h"
+#include "fragmentation/origins.h"
 #include "gtest/gtest.h"
-#include "partix/publisher.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xquery/item.h"
@@ -88,18 +88,25 @@ TEST(WireFormatTest, AttachesMetadataNotContent) {
   auto projected =
       frag::ProjectDocument(**src, *xpath::Path::Parse("/Item"), {}, "f");
   ASSERT_TRUE(projected.ok());
-  xml::DocumentPtr wire = middleware::ToWireFormat(*projected);
-  EXPECT_EQ(wire->GetMetadata("px-src"), "src");
-  EXPECT_EQ(wire->GetMetadata("px-root"), "0");
+  const xml::Document& wire = **projected;
+  EXPECT_EQ(wire.GetMetadata("px-src"), "src");
+  // Item, Code and its text: origin ids 0..2 in one data run.
+  EXPECT_EQ(wire.GetMetadata("px-runs"), "0:3:0");
+  EXPECT_EQ(wire.GetMetadata("px-anc"), "");
   // Content is untouched: no px attributes.
-  EXPECT_EQ(xml::Serialize(*wire), "<Item><Code>1</Code></Item>");
+  EXPECT_EQ(xml::Serialize(wire), "<Item><Code>1</Code></Item>");
 }
 
 TEST(WireFormatTest, PassthroughForPlainDocuments) {
+  // A horizontal fragment shares its source documents, which carry no
+  // reconstruction IDs.
   auto pool = Pool();
   auto doc = xml::ParseXml(pool, "d", "<a/>");
   ASSERT_TRUE(doc.ok());
-  EXPECT_EQ(middleware::ToWireFormat(*doc).get(), doc->get());
+  EXPECT_TRUE((*doc)->metadata().empty());
+  auto origins = frag::DecodeOrigins(**doc);
+  ASSERT_TRUE(origins.ok()) << origins.status();
+  EXPECT_TRUE(origins->source.empty());
 }
 
 TEST(ApproxBytesTest, GrowsWithContent) {

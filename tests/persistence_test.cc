@@ -70,7 +70,7 @@ TEST_F(PersistenceTest, MetadataSurvivesRoundTrip) {
   ASSERT_TRUE(source.CreateCollection("frags").ok());
   std::map<std::string, std::string> metadata = {
       {"px-src", "store-doc"},
-      {"px-root", "42"},
+      {"px-runs", "42:3:0"},
       {"px-anc", "0:Store,22:Items"},
       {"odd", "a=b;c\td\ne\\f"},  // exercises escaping
   };

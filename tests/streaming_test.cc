@@ -348,50 +348,56 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- stable join reconstruction ------------------------------------------
 
-TEST(StreamingJoinTest, EqualReconstructionIdsMergeInArrivalOrder) {
-  // Two fragments of one source document share reconstruction id 2
-  // (FragMode2 siblings): JoinGroup merges the second into the container
-  // the first created. The sort key (root id) is EQUAL for both, so only
-  // a stable sort pins the merged children to plan order — this is the
-  // std::stable_sort regression test. Run repeatedly: the pre-fix
-  // std::sort was free to permute equal keys per run.
+TEST(StreamingJoinTest, MergedSiblingsComeOutInSourceOrder) {
+  // Source <wrap><s><x>L</x><x>R</x></s></wrap> (origin ids wrap 0, s 1,
+  // x 2 and 4, their texts 3 and 5) split FragMode2-style: each fragment
+  // holds the scaffold container s (id 1) and one x. The fragment planned
+  // first holds R, so arrival order is the reverse of source order; the
+  // join must place the siblings by origin id, in every run, streaming or
+  // not, whichever fragment the plan lists first.
   DistributionCatalog catalog;
   ClusterSim cluster(2, xdb::DatabaseOptions(), NetworkModel());
-  ASSERT_TRUE(cluster.node(0).CreateCollection("f_left", {}).ok());
-  ASSERT_TRUE(cluster.node(1).CreateCollection("f_right", {}).ok());
-  std::map<std::string, std::string> left_meta = {
-      {"px-src", "d"}, {"px-root", "2"}, {"px-anc", "1:wrap"}};
-  std::map<std::string, std::string> right_meta = left_meta;
+  ASSERT_TRUE(cluster.node(0).CreateCollection("f_right", {}).ok());
+  ASSERT_TRUE(cluster.node(1).CreateCollection("f_left", {}).ok());
+  const std::map<std::string, std::string> right_meta = {
+      {"px-src", "d"}, {"px-runs", "1:1:1,4:2:0"}, {"px-anc", "0:wrap"}};
+  const std::map<std::string, std::string> left_meta = {
+      {"px-src", "d"}, {"px-runs", "1:1:1,2:2:0"}, {"px-anc", "0:wrap"}};
   ASSERT_TRUE(cluster.node(0)
-                  .StoreSerializedDocument("f_left", "d_left",
-                                           "<s><x>L</x></s>", left_meta)
-                  .ok());
-  ASSERT_TRUE(cluster.node(1)
                   .StoreSerializedDocument("f_right", "d_right",
                                            "<s><x>R</x></s>", right_meta)
                   .ok());
+  ASSERT_TRUE(cluster.node(1)
+                  .StoreSerializedDocument("f_left", "d_left",
+                                           "<s><x>L</x></s>", left_meta)
+                  .ok());
   QueryService service(&cluster, &catalog);
 
-  DistributedPlan plan;
-  plan.collection = "joined";
-  plan.original_query = "collection(\"joined\")/wrap";
-  plan.composition = Composition::kJoinReconstruct;
-  plan.subqueries.push_back({.fragment = "f_left",
-                             .node = 0,
-                             .query = "collection(\"f_left\")"});
-  plan.subqueries.push_back({.fragment = "f_right",
-                             .node = 1,
-                             .query = "collection(\"f_right\")"});
-
-  for (bool streaming : {true, false}) {
-    for (int run = 0; run < 4; ++run) {
-      ExecutionOptions options;
-      options.streaming = streaming;
-      auto result = service.ExecutePlan(plan, options);
-      ASSERT_TRUE(result.ok())
-          << "streaming=" << streaming << ": " << result.status();
-      EXPECT_EQ(result->serialized, "<wrap><s><x>L</x><x>R</x></s></wrap>")
-          << "streaming=" << streaming << " run=" << run;
+  const SubQuery right = {.fragment = "f_right",
+                          .node = 0,
+                          .query = "collection(\"f_right\")"};
+  const SubQuery left = {.fragment = "f_left",
+                         .node = 1,
+                         .query = "collection(\"f_left\")"};
+  for (bool right_first : {true, false}) {
+    DistributedPlan plan;
+    plan.collection = "joined";
+    plan.original_query = "collection(\"joined\")/wrap";
+    plan.composition = Composition::kJoinReconstruct;
+    plan.subqueries = right_first ? std::vector<SubQuery>{right, left}
+                                  : std::vector<SubQuery>{left, right};
+    for (bool streaming : {true, false}) {
+      for (int run = 0; run < 4; ++run) {
+        ExecutionOptions options;
+        options.streaming = streaming;
+        auto result = service.ExecutePlan(plan, options);
+        ASSERT_TRUE(result.ok())
+            << "streaming=" << streaming << ": " << result.status();
+        EXPECT_EQ(result->serialized,
+                  "<wrap><s><x>L</x><x>R</x></s></wrap>")
+            << "right_first=" << right_first << " streaming=" << streaming
+            << " run=" << run;
+      }
     }
   }
 }

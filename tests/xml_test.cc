@@ -84,14 +84,11 @@ TEST(DocumentTest, CopySubtreeWithSkip) {
   src.AppendText(drop, "d");
 
   Document dst(pool, "dst");
-  dst.EnableOriginTracking("src");
   NodeId copied = dst.CopySubtree(src, root, kNullNode,
                                   [&](NodeId n) { return n == drop; });
   ASSERT_NE(copied, kNullNode);
   EXPECT_EQ(dst.ElementChildren(copied).size(), 1u);
   EXPECT_EQ(dst.StringValue(copied), "k");
-  EXPECT_EQ(dst.origin(copied), root);
-  EXPECT_EQ(dst.origin_doc(), "src");
 }
 
 TEST(DocumentTest, VisitSubtreeIsPreorder) {
