@@ -398,7 +398,7 @@ Result<PrepareOutcome> Database::Prepare(const std::string& query) const {
   PARTIX_ASSIGN_OR_RETURN(xquery::CompiledQueryPtr compiled,
                           xquery::CompiledQuery::Compile(query));
   auto plan = std::make_shared<PreparedQuery>();
-  plan->plans = AnalyzeQuery(compiled->ast());
+  plan->plans = PlanCollections(compiled->analysis());
   plan->compiled = std::move(compiled);
   plan->compile_ms = watch.ElapsedMillis();
   return FinishPrepare(std::move(plan));
@@ -419,7 +419,7 @@ Result<PrepareOutcome> Database::Prepare(
   Stopwatch watch;
   auto plan = std::make_shared<PreparedQuery>();
   plan->compiled = compiled;
-  plan->plans = AnalyzeQuery(compiled->ast());
+  plan->plans = PlanCollections(compiled->analysis());
   plan->compile_ms = watch.ElapsedMillis();
   return FinishPrepare(std::move(plan));
 }

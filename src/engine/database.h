@@ -280,8 +280,9 @@ class Database {
   Result<PrepareOutcome> Prepare(const std::string& query) const;
 
   /// Same, for a query the caller already compiled (e.g. the middleware's
-  /// per-sub-query artifact): a cache miss runs static analysis only — no
-  /// parse happens on this path.
+  /// per-sub-query artifact): a cache miss builds the site constraints
+  /// from the compiled query's analysis — neither a parse nor an AST walk
+  /// happens on this path.
   Result<PrepareOutcome> Prepare(const xquery::CompiledQueryPtr& compiled)
       const;
 

@@ -29,7 +29,8 @@ namespace partix::xdb {
 /// ship one CompiledQuery to every replica of a fragment.
 struct PreparedQuery {
   xquery::CompiledQueryPtr compiled;
-  /// AnalyzeQuery(compiled->ast()): one entry per referenced collection.
+  /// PlanCollections(compiled->analysis()): one entry per referenced
+  /// collection.
   std::map<std::string, CollectionPlan> plans;
   /// Cost (ms) of building this plan: parse (when compiled locally from
   /// text) + static analysis. Paid once; plan-cache hits report 0.

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "xquery/analysis.h"
 #include "xquery/ast.h"
 
 namespace partix::xdb {
@@ -52,14 +53,19 @@ struct CollectionPlan {
   std::vector<SiteConstraints> sites;
 };
 
-/// Walks the query AST and extracts index-usable constraints for every
-/// collection() / doc() call site. Handles:
+/// The index-usable constraints of every collection() / doc() call site of
+/// an analyzed query, one CollectionPlan per collection:
 ///   - path spines: collection("c")/Item/Name requires elements Item, Name
-///   - step predicates: Item[Section = "CD"], Item[contains(Desc, "x")]
-///   - FLWOR where clauses: conjuncts over variables bound by for-clauses
-///     whose binding expression is rooted at a collection() call
-/// Constraints under not()/empty()/or are ignored (kept sound by not
+///     (with their levels)
+///   - site conjuncts: Item[Section = "CD"], Item[contains(Desc, "x")],
+///     and `where` conjuncts over a variable a `for` binds to the site
+///     require the elements of their paths
+/// Constraints under not()/empty()/or are never mined (kept sound by not
 /// pruning on them).
+std::map<std::string, CollectionPlan> PlanCollections(
+    const xquery::QueryAnalysis& analysis);
+
+/// PlanCollections over a fresh analysis of `root`.
 std::map<std::string, CollectionPlan> AnalyzeQuery(const xquery::Expr& root);
 
 }  // namespace partix::xdb

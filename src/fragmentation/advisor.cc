@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 
-#include "common/strings.h"
-
-#include "xquery/ast.h"
-#include "xquery/parser.h"
+#include "xquery/compiled_query.h"
 
 namespace partix::frag {
 
@@ -130,207 +126,16 @@ Result<AdvisorReport> DesignHorizontalByMinterms(
   return report;
 }
 
-namespace {
-
-using xquery::AxisStep;
-using xquery::BinaryOp;
-using xquery::ContextItem;
-using xquery::Expr;
-using xquery::ExprPtr;
-using xquery::FlworExpr;
-using xquery::ForLetClause;
-using xquery::FunctionCall;
-using xquery::PathExpr;
-using xquery::StringLit;
-using xquery::VarRef;
-
-/// Mines conjunctive simple predicates from a query for the advisor. The
-/// mined predicate paths are absolute over the collection's documents.
-/// This is deliberately the same (conservative) fragment-predicate shape
-/// the decomposer localizes on, so advisor-produced designs localize the
-/// very queries they were derived from.
-class PredicateMiner {
- public:
-  std::vector<Predicate> Run(const Expr& root) {
-    Walk(root);
-    return std::move(out_);
-  }
-
- private:
-  std::optional<std::vector<xpath::Step>> FullSteps(
-      const PathExpr& p, const std::vector<xpath::Step>* base_override) {
-    std::vector<xpath::Step> base;
-    if (p.source == nullptr) {
-      return std::nullopt;
-    } else if (p.source->Is<ContextItem>()) {
-      if (base_override == nullptr) return std::nullopt;
-      base = *base_override;
-    } else if (p.source->Is<VarRef>()) {
-      auto it = vars_.find(p.source->As<VarRef>().name);
-      if (it == vars_.end()) return std::nullopt;
-      base = it->second;
-    } else if (p.source->Is<FunctionCall>()) {
-      const auto& f = p.source->As<FunctionCall>();
-      if (f.name != "collection" && f.name != "doc") return std::nullopt;
-    } else {
-      return std::nullopt;
-    }
-    for (const AxisStep& s : p.steps) base.push_back(s.step);
-    return base;
-  }
-
-  void MineConjunct(const Expr& e,
-                    const std::vector<xpath::Step>* base_override) {
-    if (e.Is<BinaryOp>()) {
-      const auto& b = e.As<BinaryOp>();
-      if (b.op == BinaryOp::Op::kAnd) {
-        MineConjunct(*b.lhs, base_override);
-        MineConjunct(*b.rhs, base_override);
-        return;
-      }
-      xpath::CompareOp op;
-      switch (b.op) {
-        case BinaryOp::Op::kEq:
-          op = xpath::CompareOp::kEq;
-          break;
-        case BinaryOp::Op::kNe:
-          op = xpath::CompareOp::kNe;
-          break;
-        case BinaryOp::Op::kLt:
-          op = xpath::CompareOp::kLt;
-          break;
-        case BinaryOp::Op::kLe:
-          op = xpath::CompareOp::kLe;
-          break;
-        case BinaryOp::Op::kGt:
-          op = xpath::CompareOp::kGt;
-          break;
-        case BinaryOp::Op::kGe:
-          op = xpath::CompareOp::kGe;
-          break;
-        default:
-          return;
-      }
-      const Expr* path_side = nullptr;
-      const Expr* lit_side = nullptr;
-      if (b.lhs->Is<PathExpr>()) {
-        path_side = b.lhs.get();
-        lit_side = b.rhs.get();
-      } else if (b.rhs->Is<PathExpr>()) {
-        path_side = b.rhs.get();
-        lit_side = b.lhs.get();
-      } else {
-        return;
-      }
-      std::string value;
-      if (lit_side->Is<StringLit>()) {
-        value = lit_side->As<StringLit>().value;
-      } else if (lit_side->Is<xquery::NumberLit>()) {
-        value = FormatNumber(lit_side->As<xquery::NumberLit>().value);
-      } else {
-        return;
-      }
-      auto steps = FullSteps(path_side->As<PathExpr>(), base_override);
-      if (!steps) return;
-      out_.push_back(
-          Predicate::Compare(xpath::Path(*steps), op, std::move(value)));
-      return;
-    }
-    if (e.Is<FunctionCall>()) {
-      const auto& f = e.As<FunctionCall>();
-      if (f.name == "contains" && f.args.size() == 2 &&
-          f.args[0]->Is<PathExpr>() && f.args[1]->Is<StringLit>()) {
-        auto steps = FullSteps(f.args[0]->As<PathExpr>(), base_override);
-        if (steps) {
-          out_.push_back(Predicate::Contains(
-              xpath::Path(*steps), f.args[1]->As<StringLit>().value));
-        }
-      }
-      return;
-    }
-    if (e.Is<PathExpr>()) {
-      auto steps = FullSteps(e.As<PathExpr>(), base_override);
-      if (steps) out_.push_back(Predicate::Exists(xpath::Path(*steps)));
-    }
-  }
-
-  void Walk(const Expr& e) {
-    if (e.Is<PathExpr>()) {
-      const auto& p = e.As<PathExpr>();
-      if (p.source != nullptr) Walk(*p.source);
-      std::optional<std::vector<xpath::Step>> full = FullSteps(p, nullptr);
-      std::vector<xpath::Step> base;
-      if (full) base.assign(full->begin(), full->end() - p.steps.size());
-      for (const AxisStep& s : p.steps) {
-        base.push_back(s.step);
-        for (const ExprPtr& pred : s.predicates) {
-          if (full) MineConjunct(*pred, &base);
-          Walk(*pred);
-        }
-      }
-      return;
-    }
-    if (e.Is<FunctionCall>()) {
-      for (const ExprPtr& arg : e.As<FunctionCall>().args) Walk(*arg);
-      return;
-    }
-    if (e.Is<FlworExpr>()) {
-      const auto& f = e.As<FlworExpr>();
-      auto saved = vars_;
-      for (const ForLetClause& clause : f.clauses) {
-        if (clause.expr->Is<PathExpr>()) {
-          auto full = FullSteps(clause.expr->As<PathExpr>(), nullptr);
-          if (full) vars_[clause.var] = *full;
-        }
-        Walk(*clause.expr);
-      }
-      if (f.where != nullptr) MineConjunct(*f.where, nullptr);
-      Walk(*f.ret);
-      vars_ = std::move(saved);
-      return;
-    }
-    if (e.Is<BinaryOp>()) {
-      Walk(*e.As<BinaryOp>().lhs);
-      Walk(*e.As<BinaryOp>().rhs);
-      return;
-    }
-    if (e.Is<xquery::UnaryMinus>()) {
-      Walk(*e.As<xquery::UnaryMinus>().operand);
-      return;
-    }
-    if (e.Is<xquery::ElementCtor>()) {
-      for (const ExprPtr& item : e.As<xquery::ElementCtor>().content) {
-        Walk(*item);
-      }
-      return;
-    }
-    if (e.Is<xquery::IfExpr>()) {
-      const auto& i = e.As<xquery::IfExpr>();
-      Walk(*i.cond);
-      Walk(*i.then_branch);
-      Walk(*i.else_branch);
-      return;
-    }
-    if (e.Is<xquery::QuantifiedExpr>()) {
-      const auto& q = e.As<xquery::QuantifiedExpr>();
-      for (const xquery::ForLetClause& b : q.bindings) Walk(*b.expr);
-      Walk(*q.satisfies);
-    }
-  }
-
-  std::map<std::string, std::vector<xpath::Step>> vars_;
-  std::vector<Predicate> out_;
-};
-
-}  // namespace
-
 Result<AdvisorReport> DesignHorizontalFromQueries(
     const xml::Collection& c, const std::vector<std::string>& queries,
     const AdvisorOptions& options) {
   std::vector<WeightedPredicate> predicates;
   for (const std::string& query : queries) {
-    PARTIX_ASSIGN_OR_RETURN(xquery::ExprPtr ast, xquery::ParseQuery(query));
-    for (Predicate& p : PredicateMiner().Run(*ast)) {
+    // The constraints the decomposer localizes on, so advisor-produced
+    // designs localize the very queries they were derived from.
+    PARTIX_ASSIGN_OR_RETURN(xquery::CompiledQueryPtr compiled,
+                            xquery::CompiledQuery::Compile(query));
+    for (Predicate& p : compiled->analysis().Constraints()) {
       predicates.push_back(WeightedPredicate{std::move(p), 1.0});
     }
   }

@@ -62,10 +62,11 @@ Result<AdvisorReport> DesignHorizontalByMinterms(
     const xml::Collection& c, std::vector<WeightedPredicate> predicates,
     const AdvisorOptions& options = AdvisorOptions());
 
-/// Convenience front-end: mines simple predicates from XQuery workload
-/// texts (conjunctive where-clause and step predicates over the
-/// collection's documents) and feeds them to the minterm design. Queries
-/// contribute weight 1 each (repeat a query to weight it higher).
+/// Convenience front-end: compiles each XQuery workload text and feeds the
+/// predicates of its analysis (xquery::QueryAnalysis::Constraints — the
+/// conjunctive step-predicate and `where` constraints the decomposer
+/// localizes on) to the minterm design. Queries contribute weight 1 each
+/// (repeat a query to weight it higher).
 Result<AdvisorReport> DesignHorizontalFromQueries(
     const xml::Collection& c, const std::vector<std::string>& queries,
     const AdvisorOptions& options = AdvisorOptions());

@@ -1,11 +1,10 @@
 #include "partix/decomposer.h"
 
-#include <map>
-#include <optional>
-#include <set>
+#include <algorithm>
 
 #include "common/strings.h"
 #include "xpath/predicate.h"
+#include "xquery/analysis.h"
 #include "xquery/ast.h"
 #include "xquery/compiled_query.h"
 
@@ -19,381 +18,11 @@ using frag::HybridMode;
 using xpath::CompareOp;
 using xpath::Predicate;
 using xquery::AxisStep;
-using xquery::BinaryOp;
-using xquery::ContextItem;
 using xquery::Expr;
 using xquery::ExprPtr;
-using xquery::FlworExpr;
-using xquery::ForLetClause;
 using xquery::FunctionCall;
 using xquery::PathExpr;
 using xquery::StringLit;
-using xquery::VarRef;
-
-// ---------------------------------------------------------------------
-// Query mining
-// ---------------------------------------------------------------------
-
-/// What the decomposer learned about a query.
-struct Mined {
-  std::set<std::string> collections;
-  /// Positive conjunctive predicates over full (document-root-absolute)
-  /// paths.
-  std::vector<Predicate> constraints;
-  /// Every full path the query touches.
-  std::vector<xpath::Path> touched;
-  /// False when the query uses constructs the miner cannot track; plans
-  /// then fall back to all-fragments / join.
-  bool analyzable = true;
-  /// Name of a top-level single-argument aggregate ("count", "sum", ...)
-  /// or empty.
-  std::string top_aggregate;
-};
-
-std::optional<std::string> AsCollectionCall(const Expr& e) {
-  if (!e.Is<FunctionCall>()) return std::nullopt;
-  const auto& f = e.As<FunctionCall>();
-  if (f.name != "collection" && f.name != "doc") return std::nullopt;
-  if (f.args.size() != 1 || !f.args[0]->Is<StringLit>()) return std::nullopt;
-  return f.args[0]->As<StringLit>().value;
-}
-
-/// Extracts the literal string of a string/integer literal expression.
-std::optional<std::string> AsLiteral(const Expr& e) {
-  if (e.Is<StringLit>()) return e.As<StringLit>().value;
-  if (e.Is<xquery::NumberLit>()) {
-    return FormatNumber(e.As<xquery::NumberLit>().value);
-  }
-  return std::nullopt;
-}
-
-CompareOp ToCompareOp(BinaryOp::Op op) {
-  switch (op) {
-    case BinaryOp::Op::kEq:
-      return CompareOp::kEq;
-    case BinaryOp::Op::kNe:
-      return CompareOp::kNe;
-    case BinaryOp::Op::kLt:
-      return CompareOp::kLt;
-    case BinaryOp::Op::kLe:
-      return CompareOp::kLe;
-    case BinaryOp::Op::kGt:
-      return CompareOp::kGt;
-    default:
-      return CompareOp::kGe;
-  }
-}
-
-/// Walks a query AST collecting collections, touched full paths, and
-/// conjunctive predicate constraints.
-class Miner {
- public:
-  Mined Run(const Expr& root) {
-    if (root.Is<FunctionCall>()) {
-      const auto& f = root.As<FunctionCall>();
-      if (f.args.size() == 1 &&
-          (f.name == "count" || f.name == "sum" || f.name == "avg" ||
-           f.name == "min" || f.name == "max")) {
-        mined_.top_aggregate = f.name;
-      }
-    }
-    Walk(root);
-    return std::move(mined_);
-  }
-
- private:
-  /// Resolves a path expression to full steps from the document root.
-  /// Returns nullopt when the source is not a tracked variable or a
-  /// collection call. `within_predicate_base`: base steps when resolving
-  /// relative paths inside a step predicate.
-  std::optional<std::vector<xpath::Step>> FullSteps(
-      const PathExpr& p, const std::vector<xpath::Step>* predicate_base) {
-    std::vector<xpath::Step> base;
-    if (p.source == nullptr) {
-      // Absolute path: only meaningful inside a predicate over a document
-      // context we know; we do not track those, but they are also rare in
-      // collection queries.
-      return std::nullopt;
-    } else if (p.source->Is<ContextItem>()) {
-      if (predicate_base == nullptr) return std::nullopt;
-      base = *predicate_base;
-    } else if (p.source->Is<VarRef>()) {
-      auto it = vars_.find(p.source->As<VarRef>().name);
-      if (it == vars_.end()) return std::nullopt;
-      base = it->second;
-    } else {
-      std::optional<std::string> coll = AsCollectionCall(*p.source);
-      if (!coll) return std::nullopt;
-      mined_.collections.insert(*coll);
-      // base stays empty: steps are document-root-absolute.
-    }
-    for (const AxisStep& s : p.steps) base.push_back(s.step);
-    return base;
-  }
-
-  /// Mines one conjunct (inside a where clause or step predicate) for a
-  /// constraint.
-  void MineConjunct(const Expr& e,
-                    const std::vector<xpath::Step>* predicate_base) {
-    if (e.Is<BinaryOp>()) {
-      const auto& b = e.As<BinaryOp>();
-      if (b.op == BinaryOp::Op::kAnd) {
-        MineConjunct(*b.lhs, predicate_base);
-        MineConjunct(*b.rhs, predicate_base);
-        return;
-      }
-      const bool is_cmp =
-          b.op == BinaryOp::Op::kEq || b.op == BinaryOp::Op::kNe ||
-          b.op == BinaryOp::Op::kLt || b.op == BinaryOp::Op::kLe ||
-          b.op == BinaryOp::Op::kGt || b.op == BinaryOp::Op::kGe;
-      if (!is_cmp) return;
-      const Expr* path_side = nullptr;
-      const Expr* lit_side = nullptr;
-      BinaryOp::Op op = b.op;
-      if (b.lhs->Is<PathExpr>()) {
-        path_side = b.lhs.get();
-        lit_side = b.rhs.get();
-      } else if (b.rhs->Is<PathExpr>()) {
-        path_side = b.rhs.get();
-        lit_side = b.lhs.get();
-        // Mirror the operator: lit < path  ==  path > lit.
-        switch (op) {
-          case BinaryOp::Op::kLt:
-            op = BinaryOp::Op::kGt;
-            break;
-          case BinaryOp::Op::kLe:
-            op = BinaryOp::Op::kGe;
-            break;
-          case BinaryOp::Op::kGt:
-            op = BinaryOp::Op::kLt;
-            break;
-          case BinaryOp::Op::kGe:
-            op = BinaryOp::Op::kLe;
-            break;
-          default:
-            break;
-        }
-      } else {
-        return;
-      }
-      std::optional<std::vector<xpath::Step>> steps =
-          FullSteps(path_side->As<PathExpr>(), predicate_base);
-      std::optional<std::string> lit = AsLiteral(*lit_side);
-      if (steps && lit) {
-        xpath::Path path(*steps);
-        mined_.touched.push_back(path);
-        mined_.constraints.push_back(
-            Predicate::Compare(std::move(path), ToCompareOp(op), *lit));
-      }
-      return;
-    }
-    if (e.Is<FunctionCall>()) {
-      const auto& f = e.As<FunctionCall>();
-      if (f.name == "contains" && f.args.size() == 2 &&
-          f.args[0]->Is<PathExpr>() && f.args[1]->Is<StringLit>()) {
-        std::optional<std::vector<xpath::Step>> steps =
-            FullSteps(f.args[0]->As<PathExpr>(), predicate_base);
-        if (steps) {
-          xpath::Path path(*steps);
-          mined_.touched.push_back(path);
-          mined_.constraints.push_back(Predicate::Contains(
-              std::move(path), f.args[1]->As<StringLit>().value));
-        }
-        return;
-      }
-      if (f.name == "exists" && f.args.size() == 1 &&
-          f.args[0]->Is<PathExpr>()) {
-        std::optional<std::vector<xpath::Step>> steps =
-            FullSteps(f.args[0]->As<PathExpr>(), predicate_base);
-        if (steps) {
-          xpath::Path path(*steps);
-          mined_.touched.push_back(path);
-          mined_.constraints.push_back(Predicate::Exists(std::move(path)));
-        }
-        return;
-      }
-      return;
-    }
-    if (e.Is<PathExpr>()) {
-      std::optional<std::vector<xpath::Step>> steps =
-          FullSteps(e.As<PathExpr>(), predicate_base);
-      if (steps) {
-        xpath::Path path(*steps);
-        mined_.touched.push_back(path);
-        mined_.constraints.push_back(Predicate::Exists(std::move(path)));
-      }
-    }
-  }
-
-  /// Handles a path expression encountered anywhere: records the touched
-  /// path (or flags the query unanalyzable) and mines its step predicates.
-  /// `record_touched` is false for for/let binding paths, which only
-  /// *iterate* — data is touched through paths extended from the bound
-  /// variable, or through the bare variable when it is materialized.
-  void HandlePath(const PathExpr& p, bool record_touched = true) {
-    if (p.source != nullptr) {
-      if (p.source->Is<ContextItem>()) {
-        // Context-item paths outside predicates are not tracked.
-        mined_.analyzable = false;
-      } else if (!p.source->Is<VarRef>() && !AsCollectionCall(*p.source)) {
-        Walk(*p.source);
-      }
-    }
-    std::optional<std::vector<xpath::Step>> full = FullSteps(p, nullptr);
-    if (!full) {
-      // Paths over unknown sources (let-bound variables, constructed
-      // nodes, absolute) defeat localization.
-      if (p.source == nullptr || p.source->Is<VarRef>()) {
-        mined_.analyzable = false;
-      }
-    } else if (record_touched) {
-      mined_.touched.push_back(xpath::Path(*full));
-    }
-    // Step predicates: mine conjuncts with the base = steps so far.
-    std::vector<xpath::Step> base;
-    if (full) {
-      base.assign(full->begin(), full->end() - p.steps.size());
-    }
-    for (const AxisStep& s : p.steps) {
-      base.push_back(s.step);
-      for (const ExprPtr& pred : s.predicates) {
-        if (full) {
-          MineConjunct(*pred, &base);
-        } else {
-          Walk(*pred);
-        }
-      }
-    }
-  }
-
-  void Walk(const Expr& e) {
-    if (e.Is<PathExpr>()) {
-      HandlePath(e.As<PathExpr>());
-      return;
-    }
-    if (e.Is<FunctionCall>()) {
-      std::optional<std::string> coll = AsCollectionCall(e);
-      if (coll) {
-        mined_.collections.insert(*coll);
-        return;
-      }
-      for (const ExprPtr& arg : e.As<FunctionCall>().args) Walk(*arg);
-      return;
-    }
-    if (e.Is<FlworExpr>()) {
-      const auto& f = e.As<FlworExpr>();
-      std::map<std::string, std::vector<xpath::Step>> saved = vars_;
-      for (const ForLetClause& clause : f.clauses) {
-        bool tracked = false;
-        if (clause.expr->Is<PathExpr>()) {
-          const auto& p = clause.expr->As<PathExpr>();
-          std::optional<std::vector<xpath::Step>> full =
-              FullSteps(p, nullptr);
-          HandlePath(p, /*record_touched=*/false);
-          if (full) {
-            vars_[clause.var] = *full;
-            tracked = true;
-          }
-        } else if (AsCollectionCall(*clause.expr)) {
-          mined_.collections.insert(*AsCollectionCall(*clause.expr));
-          vars_[clause.var] = {};
-          tracked = true;
-        } else {
-          Walk(*clause.expr);
-        }
-        if (!tracked) vars_.erase(clause.var);
-      }
-      if (f.where != nullptr) {
-        MineConjunct(*f.where, nullptr);
-        WalkPredsOnly(*f.where);
-      }
-      Walk(*f.ret);
-      vars_ = std::move(saved);
-      return;
-    }
-    if (e.Is<BinaryOp>()) {
-      Walk(*e.As<BinaryOp>().lhs);
-      Walk(*e.As<BinaryOp>().rhs);
-      return;
-    }
-    if (e.Is<xquery::UnaryMinus>()) {
-      Walk(*e.As<xquery::UnaryMinus>().operand);
-      return;
-    }
-    if (e.Is<xquery::ElementCtor>()) {
-      for (const ExprPtr& c : e.As<xquery::ElementCtor>().content) Walk(*c);
-      return;
-    }
-    if (e.Is<xquery::IfExpr>()) {
-      const auto& i = e.As<xquery::IfExpr>();
-      Walk(*i.cond);
-      Walk(*i.then_branch);
-      Walk(*i.else_branch);
-      return;
-    }
-    if (e.Is<xquery::QuantifiedExpr>()) {
-      // Quantifiers bind their own variables; stay conservative rather
-      // than model them.
-      mined_.analyzable = false;
-      const auto& q = e.As<xquery::QuantifiedExpr>();
-      for (const xquery::ForLetClause& b : q.bindings) Walk(*b.expr);
-      Walk(*q.satisfies);
-      return;
-    }
-    if (e.Is<VarRef>()) {
-      // A bare variable materializes whatever it is bound to.
-      auto it = vars_.find(e.As<VarRef>().name);
-      if (it != vars_.end()) {
-        if (!it->second.empty()) {
-          mined_.touched.push_back(xpath::Path(it->second));
-        } else {
-          // Bound to a bare collection(): the whole documents are used.
-          mined_.analyzable = false;
-        }
-      } else {
-        mined_.analyzable = false;
-      }
-      return;
-    }
-    // Literals / ContextItem: nothing.
-  }
-
-  /// Records touched paths inside a where clause without re-mining
-  /// constraints (MineConjunct already did) — needed so the fragment
-  /// "needed" analysis sees paths used only in predicates.
-  void WalkPredsOnly(const Expr& e) {
-    if (e.Is<BinaryOp>()) {
-      WalkPredsOnly(*e.As<BinaryOp>().lhs);
-      WalkPredsOnly(*e.As<BinaryOp>().rhs);
-      return;
-    }
-    if (e.Is<FunctionCall>()) {
-      for (const ExprPtr& arg : e.As<FunctionCall>().args) {
-        WalkPredsOnly(*arg);
-      }
-      return;
-    }
-    if (e.Is<PathExpr>()) {
-      std::optional<std::vector<xpath::Step>> full =
-          FullSteps(e.As<PathExpr>(), nullptr);
-      if (full) {
-        mined_.touched.push_back(xpath::Path(*full));
-      } else if (e.As<PathExpr>().source != nullptr &&
-                 e.As<PathExpr>().source->Is<VarRef>() &&
-                 vars_.count(e.As<PathExpr>().source->As<VarRef>().name) ==
-                     0) {
-        mined_.analyzable = false;
-      }
-      return;
-    }
-    if (e.Is<VarRef>() && vars_.count(e.As<VarRef>().name) == 0) {
-      mined_.analyzable = false;
-    }
-  }
-
-  std::map<std::string, std::vector<xpath::Step>> vars_;
-  Mined mined_;
-};
 
 // ---------------------------------------------------------------------
 // Predicate contradiction (data localization)
@@ -545,29 +174,21 @@ Predicate LocalizePredicate(const Predicate& p,
 // Rewriting
 // ---------------------------------------------------------------------
 
-/// Rewrites every collection("old")-rooted path for execution against a
-/// fragment: renames the collection and drops up to `drop_steps` leading
-/// child-axis steps (the path prefix that lies above the fragment's
-/// document roots). Fails when a dropped step is not a plain child step or
-/// carries predicates.
+/// Rewrites a query for execution against a fragment: renames every
+/// collection("old") call to `new_name` and drops up to `drop_steps`
+/// leading child-axis steps of each path rooted at one (the path prefix
+/// that lies above the fragment's document roots). Fails when a dropped
+/// step is not a plain child step or carries predicates.
 Status RewriteForFragment(Expr* e, const std::string& old_name,
                           const std::string& new_name, size_t drop_steps) {
-  if (e->Is<PathExpr>()) {
+  if (xquery::AsCollectionCall(*e) == old_name) {
+    e->As<FunctionCall>().args[0]->As<StringLit>().value = new_name;
+    return Status::Ok();
+  }
+  if (e->Is<PathExpr>() && drop_steps > 0) {
     auto& p = e->As<PathExpr>();
-    bool rooted = false;
-    if (p.source != nullptr) {
-      std::optional<std::string> coll = AsCollectionCall(*p.source);
-      if (coll && *coll == old_name) {
-        p.source->As<FunctionCall>().args[0]->As<StringLit>().value =
-            new_name;
-        rooted = true;
-      } else if (p.source != nullptr) {
-        PARTIX_RETURN_IF_ERROR(
-            RewriteForFragment(p.source.get(), old_name, new_name,
-                               drop_steps));
-      }
-    }
-    if (rooted && drop_steps > 0) {
+    if (p.source != nullptr &&
+        xquery::AsCollectionCall(*p.source) == old_name) {
       size_t to_drop = std::min(drop_steps, p.steps.size());
       for (size_t i = 0; i < to_drop; ++i) {
         const AxisStep& s = p.steps[i];
@@ -581,66 +202,14 @@ Status RewriteForFragment(Expr* e, const std::string& old_name,
       }
       p.steps.erase(p.steps.begin(), p.steps.begin() + to_drop);
     }
-    for (AxisStep& s : p.steps) {
-      for (ExprPtr& pred : s.predicates) {
-        PARTIX_RETURN_IF_ERROR(
-            RewriteForFragment(pred.get(), old_name, new_name, drop_steps));
-      }
+  }
+  Status status;
+  xquery::ForEachChild(*e, [&](Expr& child) {
+    if (status.ok()) {
+      status = RewriteForFragment(&child, old_name, new_name, drop_steps);
     }
-    return Status::Ok();
-  }
-  if (e->Is<FunctionCall>()) {
-    auto& f = e->As<FunctionCall>();
-    std::optional<std::string> coll = AsCollectionCall(*e);
-    if (coll && *coll == old_name) {
-      f.args[0]->As<StringLit>().value = new_name;
-      return Status::Ok();
-    }
-    for (ExprPtr& arg : f.args) {
-      PARTIX_RETURN_IF_ERROR(
-          RewriteForFragment(arg.get(), old_name, new_name, drop_steps));
-    }
-    return Status::Ok();
-  }
-  if (e->Is<FlworExpr>()) {
-    auto& f = e->As<FlworExpr>();
-    for (ForLetClause& clause : f.clauses) {
-      PARTIX_RETURN_IF_ERROR(RewriteForFragment(clause.expr.get(), old_name,
-                                                new_name, drop_steps));
-    }
-    if (f.where != nullptr) {
-      PARTIX_RETURN_IF_ERROR(
-          RewriteForFragment(f.where.get(), old_name, new_name, drop_steps));
-    }
-    return RewriteForFragment(f.ret.get(), old_name, new_name, drop_steps);
-  }
-  if (e->Is<BinaryOp>()) {
-    auto& b = e->As<BinaryOp>();
-    PARTIX_RETURN_IF_ERROR(
-        RewriteForFragment(b.lhs.get(), old_name, new_name, drop_steps));
-    return RewriteForFragment(b.rhs.get(), old_name, new_name, drop_steps);
-  }
-  if (e->Is<xquery::UnaryMinus>()) {
-    return RewriteForFragment(e->As<xquery::UnaryMinus>().operand.get(),
-                              old_name, new_name, drop_steps);
-  }
-  if (e->Is<xquery::ElementCtor>()) {
-    for (ExprPtr& c : e->As<xquery::ElementCtor>().content) {
-      PARTIX_RETURN_IF_ERROR(
-          RewriteForFragment(c.get(), old_name, new_name, drop_steps));
-    }
-    return Status::Ok();
-  }
-  if (e->Is<xquery::IfExpr>()) {
-    auto& i = e->As<xquery::IfExpr>();
-    PARTIX_RETURN_IF_ERROR(
-        RewriteForFragment(i.cond.get(), old_name, new_name, drop_steps));
-    PARTIX_RETURN_IF_ERROR(RewriteForFragment(i.then_branch.get(), old_name,
-                                              new_name, drop_steps));
-    return RewriteForFragment(i.else_branch.get(), old_name, new_name,
-                              drop_steps);
-  }
-  return Status::Ok();
+  });
+  return status;
 }
 
 /// Produces the rewritten sub-query for one fragment as a compiled
@@ -726,16 +295,16 @@ Result<DistributedPlan> QueryDecomposer::Decompose(
   PARTIX_ASSIGN_OR_RETURN(xquery::CompiledQueryPtr compiled,
                           xquery::CompiledQuery::Compile(query));
   const Expr& ast = compiled->ast();
-  Mined mined = Miner().Run(ast);
+  const xquery::QueryAnalysis& analysis = compiled->analysis();
 
-  if (mined.collections.empty()) {
+  if (analysis.collections.empty()) {
     return Status::InvalidArgument(
         "query references no collection; nothing to route");
   }
 
   // Identify the (single) fragmented collection.
   std::string fragmented;
-  for (const std::string& coll : mined.collections) {
+  for (const std::string& coll : analysis.collections) {
     if (catalog_->IsFragmented(coll)) {
       if (!fragmented.empty()) {
         return Status::Unimplemented(
@@ -753,7 +322,7 @@ Result<DistributedPlan> QueryDecomposer::Decompose(
   if (fragmented.empty()) {
     // Centralized execution at the node holding the collection: the
     // original query ships unchanged, compiled form included.
-    const std::string& coll = *mined.collections.begin();
+    const std::string& coll = *analysis.collections.begin();
     PARTIX_ASSIGN_OR_RETURN(size_t node, catalog_->CentralizedNode(coll));
     plan.collection = coll;
     plan.composition = Composition::kUnion;
@@ -767,7 +336,7 @@ Result<DistributedPlan> QueryDecomposer::Decompose(
     plan.notes.push_back("collection is centralized; no decomposition");
     return plan;
   }
-  if (mined.collections.size() > 1) {
+  if (analysis.collections.size() > 1) {
     return Status::Unimplemented(
         "queries mixing fragmented and other collections are not "
         "supported");
@@ -779,9 +348,11 @@ Result<DistributedPlan> QueryDecomposer::Decompose(
   plan.collection = fragmented;
 
   const bool decomposable_aggregate =
-      mined.top_aggregate == "count" || mined.top_aggregate == "sum";
+      analysis.root_aggregate == "count" || analysis.root_aggregate == "sum";
   const bool awkward_aggregate =
-      !mined.top_aggregate.empty() && !decomposable_aggregate;
+      !analysis.root_aggregate.empty() && !decomposable_aggregate;
+  // The decomposer conjoins the constraints of every call site.
+  const std::vector<Predicate> constraints = analysis.Constraints();
 
   auto add_fetch_subqueries =
       [&](const std::vector<const FragmentDef*>& defs) -> Status {
@@ -799,8 +370,8 @@ Result<DistributedPlan> QueryDecomposer::Decompose(
     case FragmentKind::kHorizontal: {
       std::vector<const FragmentDef*> targets;
       for (const FragmentDef& def : schema.fragments) {
-        if (mined.analyzable &&
-            FragmentPruned(mined.constraints,
+        if (analysis.analyzable &&
+            FragmentPruned(constraints,
                            def.horizontal().mu.predicates())) {
           ++plan.pruned_fragments;
           continue;
@@ -812,9 +383,13 @@ Result<DistributedPlan> QueryDecomposer::Decompose(
             "data localization pruned " +
             std::to_string(plan.pruned_fragments) + " fragment(s)");
       }
-      if (awkward_aggregate && targets.size() > 1) {
-        plan.notes.push_back("aggregate '" + mined.top_aggregate +
-                             "' is not distributive; fetching fragments");
+      if ((awkward_aggregate || analysis.quantified_collection) &&
+          targets.size() > 1) {
+        plan.notes.push_back(
+            (awkward_aggregate ? "aggregate '" + analysis.root_aggregate + "'"
+                               : std::string("a quantifier over the "
+                                             "collection")) +
+            " is not distributive; fetching fragments");
         PARTIX_RETURN_IF_ERROR(add_fetch_subqueries(targets));
         return plan;
       }
@@ -837,8 +412,8 @@ Result<DistributedPlan> QueryDecomposer::Decompose(
       std::vector<const FragmentDef*> needed;
       for (const FragmentDef& def : schema.fragments) {
         const frag::VerticalDef& v = def.vertical();
-        bool used = !mined.analyzable || mined.touched.empty();
-        for (const xpath::Path& t : mined.touched) {
+        bool used = !analysis.analyzable || analysis.touched.empty();
+        for (const xpath::Path& t : analysis.touched) {
           if (ProjectionNeeded(t, v.path, v.prune)) {
             used = true;
             break;
@@ -850,7 +425,7 @@ Result<DistributedPlan> QueryDecomposer::Decompose(
         return Status::InvalidArgument(
             "query touches no fragment of '" + fragmented + "'");
       }
-      if (needed.size() == 1 && mined.analyzable && !awkward_aggregate) {
+      if (needed.size() == 1 && analysis.analyzable && !awkward_aggregate) {
         const frag::VerticalDef& v = needed[0]->vertical();
         Result<xquery::CompiledQueryPtr> rewritten = RewriteCompiled(
             ast, fragmented, needed[0]->name(), v.path.size() - 1);
@@ -900,20 +475,20 @@ Result<DistributedPlan> QueryDecomposer::Decompose(
       std::vector<const FragmentDef*> needed_instance;
       std::vector<const FragmentDef*> needed_pure;
       for (const FragmentDef* def : instance_defs) {
-        bool used = !mined.analyzable || mined.touched.empty();
-        for (const xpath::Path& t : mined.touched) {
+        bool used = !analysis.analyzable || analysis.touched.empty();
+        for (const xpath::Path& t : analysis.touched) {
           if (ProjectionNeeded(t, def_path(def), def_prune(def))) {
             used = true;
             break;
           }
         }
-        if (used && mined.analyzable) {
+        if (used && analysis.analyzable) {
           // μ-based localization.
           std::vector<Predicate> localized;
           for (const Predicate& p : def->hybrid().mu.predicates()) {
             localized.push_back(LocalizePredicate(p, def_path(def)));
           }
-          if (FragmentPruned(mined.constraints, localized)) {
+          if (FragmentPruned(constraints, localized)) {
             used = false;
             ++plan.pruned_fragments;
           }
@@ -921,8 +496,8 @@ Result<DistributedPlan> QueryDecomposer::Decompose(
         if (used) needed_instance.push_back(def);
       }
       for (const FragmentDef* def : pure_defs) {
-        bool used = !mined.analyzable || mined.touched.empty();
-        for (const xpath::Path& t : mined.touched) {
+        bool used = !analysis.analyzable || analysis.touched.empty();
+        for (const xpath::Path& t : analysis.touched) {
           if (ProjectionNeeded(t, def_path(def), def_prune(def))) {
             used = true;
             break;
@@ -941,7 +516,7 @@ Result<DistributedPlan> QueryDecomposer::Decompose(
           schema.hybrid_mode == HybridMode::kOneDocPerSubtree;
 
       if (!needed_instance.empty() && needed_pure.empty() &&
-          mined.analyzable && !awkward_aggregate) {
+          analysis.analyzable && !awkward_aggregate) {
         // Horizontal-style plan over the instance fragments.
         bool ok = true;
         std::vector<SubQuery> subs;
@@ -970,7 +545,7 @@ Result<DistributedPlan> QueryDecomposer::Decompose(
         }
       }
       if (needed_instance.empty() && needed_pure.size() == 1 &&
-          mined.analyzable && !awkward_aggregate) {
+          analysis.analyzable && !awkward_aggregate) {
         const FragmentDef* def = needed_pure[0];
         Result<xquery::CompiledQueryPtr> rewritten = RewriteCompiled(
             ast, fragmented, def->name(), def_path(def).size() - 1);

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -150,6 +151,79 @@ ExprPtr MakeExpr(T node) {
   auto e = std::make_unique<Expr>();
   e->node = std::move(node);
   return e;
+}
+
+namespace internal {
+
+template <typename T>
+inline constexpr bool kChildrenUnnamed = false;
+
+/// `E` is `const Expr` or `Expr`; see ForEachChild.
+template <typename E, typename F>
+void ForEachChildOf(E& e, F& f) {
+  auto each = [&f](auto& child) {
+    if (child != nullptr) f(static_cast<E&>(*child));
+  };
+  std::visit(
+      [&](auto& node) {
+        using T = std::decay_t<decltype(node)>;
+        if constexpr (std::is_same_v<T, StringLit> ||
+                      std::is_same_v<T, NumberLit> ||
+                      std::is_same_v<T, VarRef> ||
+                      std::is_same_v<T, ContextItem>) {
+          // Leaves.
+        } else if constexpr (std::is_same_v<T, BinaryOp>) {
+          each(node.lhs);
+          each(node.rhs);
+        } else if constexpr (std::is_same_v<T, UnaryMinus>) {
+          each(node.operand);
+        } else if constexpr (std::is_same_v<T, PathExpr>) {
+          each(node.source);
+          for (auto& step : node.steps) {
+            for (auto& predicate : step.predicates) each(predicate);
+          }
+        } else if constexpr (std::is_same_v<T, FunctionCall>) {
+          for (auto& arg : node.args) each(arg);
+        } else if constexpr (std::is_same_v<T, FlworExpr>) {
+          for (auto& clause : node.clauses) each(clause.expr);
+          each(node.where);
+          each(node.order_by);
+          each(node.ret);
+        } else if constexpr (std::is_same_v<T, ElementCtor>) {
+          for (auto& content : node.content) each(content);
+        } else if constexpr (std::is_same_v<T, IfExpr>) {
+          each(node.cond);
+          each(node.then_branch);
+          each(node.else_branch);
+        } else if constexpr (std::is_same_v<T, QuantifiedExpr>) {
+          for (auto& binding : node.bindings) each(binding.expr);
+          each(node.satisfies);
+        } else {
+          static_assert(kChildrenUnnamed<T>,
+                        "ForEachChild must name the children of every Expr "
+                        "kind");
+        }
+      },
+      e.node);
+}
+
+}  // namespace internal
+
+/// Calls `f(child)` on every direct child expression of `e`, in source
+/// order: a path's source, then its step predicates step by step; a
+/// FLWOR's clause expressions, `where`, `order by` and `return`; a
+/// quantifier's binding expressions, then `satisfies`. This is the one
+/// place that knows each kind's children, and every AST walk recurses
+/// through it, so an `Expr` kind it does not name fails to compile.
+template <typename F>
+void ForEachChild(const Expr& e, F&& f) {
+  internal::ForEachChildOf<const Expr>(e, f);
+}
+
+/// The mutable form, for in-place rewrites.
+template <typename F>
+void ForEachChild(Expr& e, F&& f) {
+  internal::ForEachChildOf<Expr>(e, f);
 }
 
 /// Renders the AST back to (approximately) XQuery text, used for

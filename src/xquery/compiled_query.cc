@@ -1,6 +1,5 @@
 #include "xquery/compiled_query.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/clock.h"
@@ -8,106 +7,17 @@
 
 namespace partix::xquery {
 
-namespace {
-
-/// Collects literal collection()/doc() names; flags dynamic names.
-struct CollectionScan {
-  std::vector<std::string> names;
-  bool dynamic = false;
-
-  void Walk(const Expr& e) {
-    if (e.Is<FunctionCall>()) {
-      const auto& f = e.As<FunctionCall>();
-      if (f.name == "collection" || f.name == "doc") {
-        if (f.args.size() == 1 && f.args[0]->Is<StringLit>()) {
-          names.push_back(f.args[0]->As<StringLit>().value);
-        } else {
-          dynamic = true;
-        }
-      }
-      for (const ExprPtr& arg : f.args) Walk(*arg);
-      return;
-    }
-    if (e.Is<BinaryOp>()) {
-      Walk(*e.As<BinaryOp>().lhs);
-      Walk(*e.As<BinaryOp>().rhs);
-      return;
-    }
-    if (e.Is<UnaryMinus>()) {
-      Walk(*e.As<UnaryMinus>().operand);
-      return;
-    }
-    if (e.Is<PathExpr>()) {
-      const auto& p = e.As<PathExpr>();
-      if (p.source != nullptr) Walk(*p.source);
-      for (const AxisStep& s : p.steps) {
-        for (const ExprPtr& pred : s.predicates) Walk(*pred);
-      }
-      return;
-    }
-    if (e.Is<FlworExpr>()) {
-      const auto& f = e.As<FlworExpr>();
-      for (const ForLetClause& clause : f.clauses) Walk(*clause.expr);
-      if (f.where != nullptr) Walk(*f.where);
-      if (f.order_by != nullptr) Walk(*f.order_by);
-      Walk(*f.ret);
-      return;
-    }
-    if (e.Is<ElementCtor>()) {
-      for (const ExprPtr& c : e.As<ElementCtor>().content) Walk(*c);
-      return;
-    }
-    if (e.Is<IfExpr>()) {
-      const auto& i = e.As<IfExpr>();
-      Walk(*i.cond);
-      Walk(*i.then_branch);
-      Walk(*i.else_branch);
-      return;
-    }
-    if (e.Is<QuantifiedExpr>()) {
-      const auto& q = e.As<QuantifiedExpr>();
-      for (const ForLetClause& b : q.bindings) Walk(*b.expr);
-      Walk(*q.satisfies);
-      return;
-    }
-    // StringLit / NumberLit / VarRef / ContextItem: leaves.
-  }
-};
-
-/// Runs the shared static analysis over a parsed AST.
-void Analyze(CollectionScan* scan, const Expr& ast) { scan->Walk(ast); }
-
-}  // namespace
-
 Result<CompiledQueryPtr> CompiledQuery::Compile(std::string text) {
   Stopwatch watch;
   PARTIX_ASSIGN_OR_RETURN(ExprPtr ast, ParseQuery(text));
-  auto compiled = std::shared_ptr<CompiledQuery>(new CompiledQuery());
-  compiled->text_ = std::move(text);
-  compiled->ast_ = std::move(ast);
-  CollectionScan scan;
-  Analyze(&scan, *compiled->ast_);
-  std::sort(scan.names.begin(), scan.names.end());
-  scan.names.erase(std::unique(scan.names.begin(), scan.names.end()),
-                   scan.names.end());
-  compiled->collections_ = std::move(scan.names);
-  compiled->dynamic_collections_ = scan.dynamic;
+  std::shared_ptr<CompiledQuery> compiled(
+      new CompiledQuery(std::move(text), std::move(ast)));
   compiled->compile_ms_ = watch.ElapsedMillis();
   return CompiledQueryPtr(std::move(compiled));
 }
 
 CompiledQueryPtr CompiledQuery::FromAst(std::string text, ExprPtr ast) {
-  auto compiled = std::shared_ptr<CompiledQuery>(new CompiledQuery());
-  compiled->text_ = std::move(text);
-  compiled->ast_ = std::move(ast);
-  CollectionScan scan;
-  Analyze(&scan, *compiled->ast_);
-  std::sort(scan.names.begin(), scan.names.end());
-  scan.names.erase(std::unique(scan.names.begin(), scan.names.end()),
-                   scan.names.end());
-  compiled->collections_ = std::move(scan.names);
-  compiled->dynamic_collections_ = scan.dynamic;
-  return CompiledQueryPtr(std::move(compiled));
+  return CompiledQueryPtr(new CompiledQuery(std::move(text), std::move(ast)));
 }
 
 }  // namespace partix::xquery

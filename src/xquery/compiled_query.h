@@ -3,9 +3,11 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
+#include "xquery/analysis.h"
 #include "xquery/ast.h"
 
 namespace partix::xquery {
@@ -17,8 +19,9 @@ class CompiledQuery;
 using CompiledQueryPtr = std::shared_ptr<const CompiledQuery>;
 
 /// The immutable parse + static-analysis artifact of one query text: the
-/// AST, the collection()/doc() names it references, and the cost of
-/// producing it. This is the unit the compile-once pipeline passes between
+/// AST, its QueryAnalysis (the one walk whose facts the decomposer, the
+/// engine planner and the fragmentation advisor read), and the cost of
+/// producing them. This is the unit the compile-once pipeline passes between
 /// layers — the decomposer compiles the submitted query once, rewritten
 /// sub-queries are built from cloned ASTs without re-parsing, and engines
 /// execute the AST directly (see engine/plan_cache.h for the engine-side
@@ -47,24 +50,33 @@ class CompiledQuery {
   const std::string& text() const { return text_; }
   const Expr& ast() const { return *ast_; }
 
+  /// The static analysis of `ast()`, computed once at construction.
+  const QueryAnalysis& analysis() const { return analysis_; }
+
   /// Collection/doc names referenced through literal collection()/doc()
   /// calls, sorted and deduplicated.
-  const std::vector<std::string>& collections() const { return collections_; }
+  const std::vector<std::string>& collections() const {
+    return analysis_.collections;
+  }
 
   /// True when some collection()/doc() call takes a non-literal name, so
   /// `collections()` may be incomplete.
-  bool has_dynamic_collections() const { return dynamic_collections_; }
+  bool has_dynamic_collections() const {
+    return analysis_.dynamic_collections;
+  }
 
   /// Measured parse + analysis cost (ms); 0 for FromAst artifacts.
   double compile_ms() const { return compile_ms_; }
 
  private:
-  CompiledQuery() = default;
+  CompiledQuery(std::string text, ExprPtr ast)
+      : text_(std::move(text)),
+        ast_(std::move(ast)),
+        analysis_(Analyze(*ast_)) {}
 
   std::string text_;
   ExprPtr ast_;
-  std::vector<std::string> collections_;
-  bool dynamic_collections_ = false;
+  QueryAnalysis analysis_;
   double compile_ms_ = 0.0;
 };
 

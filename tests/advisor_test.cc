@@ -127,6 +127,35 @@ TEST(AdvisorTest, MinesPredicatesFromQueries) {
   EXPECT_TRUE(correctness->ok()) << correctness->Summary();
 }
 
+TEST(AdvisorTest, LiteralOnTheLeftMirrorsTheComparison) {
+  xml::Collection items = Items(60, 99);
+  auto report = DesignHorizontalFromQueries(
+      items,
+      {"for $i in collection(\"items\")/Item where 100 <= $i/Code "
+       "return $i/Name"},
+      {});
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->used_predicates,
+            (std::vector<std::string>{"/Item/Code >= \"100\""}));
+}
+
+TEST(AdvisorTest, ExistsMinesLikeABarePath) {
+  xml::Collection items = Items(60, 99);
+  auto bare = DesignHorizontalFromQueries(
+      items,
+      {"for $i in collection(\"items\")/Item where $i/PictureList "
+       "return $i/Code"},
+      {});
+  ASSERT_TRUE(bare.ok()) << bare.status();
+  auto exists = DesignHorizontalFromQueries(
+      items,
+      {"for $i in collection(\"items\")/Item where exists($i/PictureList) "
+       "return $i/Code"},
+      {});
+  ASSERT_TRUE(exists.ok()) << exists.status();
+  EXPECT_EQ(exists->used_predicates, bare->used_predicates);
+}
+
 TEST(AdvisorTest, QueriesWithoutPredicatesAreRejected) {
   xml::Collection items = Items(5);
   EXPECT_FALSE(DesignHorizontalFromQueries(

@@ -194,6 +194,34 @@ TEST(JoinComposeTest, OtherCollectionsDoNotExist) {
   EXPECT_EQ(counted->serialized, "4");
 }
 
+// --- order by: the sort keys' fragment is fetched ----------------------
+
+TEST(JoinComposeTest, OrderByKeysReachTheirFragment) {
+  // Below 10 articles, so source names sort like collection positions.
+  VerticalSetup setup;
+  ASSERT_NO_FATAL_FAILURE(DeployArticles(ArticleScale{6, 8 * 1024}, &setup));
+  auto centralized = workload::Deployment::Centralized(
+      setup.data, xdb::DatabaseOptions(), NetworkModel());
+  ASSERT_TRUE(centralized.ok()) << centralized.status();
+  const std::string query =
+      "for $a in collection(\"papers\")/article order by $a/prolog/title "
+      "return string($a/epilog/references/reference[1])";
+  auto plan = setup.service().decomposer().Decompose(query);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->composition, Composition::kJoinReconstruct);
+  std::vector<std::string> fragments;
+  for (const SubQuery& sub : plan->subqueries) {
+    fragments.push_back(sub.fragment);
+  }
+  EXPECT_EQ(fragments,
+            (std::vector<std::string>{"papers_prolog", "papers_epilog"}));
+  auto expected = (*centralized)->service().Execute(query);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  auto actual = setup.service().Execute(query);
+  ASSERT_TRUE(actual.ok()) << actual.status();
+  EXPECT_EQ(actual->serialized, expected->serialized);
+}
+
 // --- hybrid Store: source order survives the join -----------------------
 
 /// A 24-item Store split by the StoreHyb design into F1 (the Store without
@@ -267,6 +295,100 @@ INSTANTIATE_TEST_SUITE_P(
                       frag::HybridMode::kSinglePrunedDoc),
     [](const ::testing::TestParamInfo<frag::HybridMode>& info) {
       return ModeName(info.param);
+    });
+
+// --- quantifiers over a fragmented collection ----------------------------
+
+/// Items split into their Description and everything else.
+Result<frag::FragmentationSchema> ItemsVerticalSchema(
+    const std::string& collection) {
+  frag::FragmentationSchema schema;
+  schema.collection = collection;
+  PARTIX_ASSIGN_OR_RETURN(xpath::Path item, xpath::Path::Parse("/Item"));
+  PARTIX_ASSIGN_OR_RETURN(xpath::Path description,
+                          xpath::Path::Parse("/Item/Description"));
+  schema.fragments.emplace_back(
+      frag::VerticalDef{collection + "_main", item, {description}});
+  schema.fragments.emplace_back(
+      frag::VerticalDef{collection + "_description", description, {}});
+  PARTIX_RETURN_IF_ERROR(schema.ValidateStructure());
+  return schema;
+}
+
+enum class QuantifierDesign { kHorizontal, kVertical, kFragMode1, kFragMode2 };
+
+class QuantifierP : public ::testing::TestWithParam<QuantifierDesign> {};
+
+TEST_P(QuantifierP, AnswersEqualTheCentralizedDeployment) {
+  // Item codes run 0..n-1 in every generated collection.
+  std::string items;
+  std::unique_ptr<workload::Deployment> fragmented;
+  std::unique_ptr<workload::Deployment> centralized;
+  StoreSetup store;
+  if (GetParam() == QuantifierDesign::kHorizontal ||
+      GetParam() == QuantifierDesign::kVertical) {
+    gen::ItemsGenOptions options;
+    options.doc_count = 60;
+    options.seed = 99;
+    auto data = gen::GenerateItems(options, nullptr);
+    ASSERT_TRUE(data.ok()) << data.status();
+    auto schema = GetParam() == QuantifierDesign::kHorizontal
+                      ? workload::SectionHorizontalSchema(
+                            data->name(), options.sections, 4)
+                      : ItemsVerticalSchema(data->name());
+    ASSERT_TRUE(schema.ok()) << schema.status();
+    auto f = workload::Deployment::Fragmented(
+        *data, *schema, xdb::DatabaseOptions(), NetworkModel());
+    ASSERT_TRUE(f.ok()) << f.status();
+    fragmented = std::move(*f);
+    auto c = workload::Deployment::Centralized(*data, xdb::DatabaseOptions(),
+                                               NetworkModel());
+    ASSERT_TRUE(c.ok()) << c.status();
+    centralized = std::move(*c);
+    items = "collection(\"" + data->name() + "\")/Item";
+  } else {
+    ASSERT_NO_FATAL_FAILURE(
+        DeployStore(GetParam() == QuantifierDesign::kFragMode1
+                        ? frag::HybridMode::kOneDocPerSubtree
+                        : frag::HybridMode::kSinglePrunedDoc,
+                    &store));
+    fragmented = std::move(store.fragmented);
+    centralized = std::move(store.centralized);
+    items = "collection(\"store\")/Store/Items/Item";
+  }
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"some $i in " + items + " satisfies $i/Code = 5", "true"},
+      {"some $i in " + items + " satisfies $i/Code = 100000", "false"},
+      {"every $i in " + items + " satisfies $i/Code >= 0", "true"},
+  };
+  for (const auto& [query, answer] : cases) {
+    auto expected = centralized->service().Execute(query);
+    ASSERT_TRUE(expected.ok()) << query << ": " << expected.status();
+    EXPECT_EQ(expected->serialized, answer) << query;
+    auto actual = fragmented->service().Execute(query);
+    ASSERT_TRUE(actual.ok()) << query << ": " << actual.status();
+    EXPECT_EQ(actual->serialized, expected->serialized) << query;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, QuantifierP,
+    ::testing::Values(QuantifierDesign::kHorizontal,
+                      QuantifierDesign::kVertical,
+                      QuantifierDesign::kFragMode1,
+                      QuantifierDesign::kFragMode2),
+    [](const ::testing::TestParamInfo<QuantifierDesign>& info) {
+      switch (info.param) {
+        case QuantifierDesign::kHorizontal:
+          return std::string("Horizontal");
+        case QuantifierDesign::kVertical:
+          return std::string("Vertical");
+        case QuantifierDesign::kFragMode1:
+          return std::string("FragMode1");
+        case QuantifierDesign::kFragMode2:
+          return std::string("FragMode2");
+      }
+      return std::string("?");
     });
 
 // --- wire round trip -------------------------------------------------------
