@@ -66,12 +66,16 @@ struct DistributedPlan {
 /// Decomposes XQuery queries over fragmented collections into sub-queries
 /// with data localization (paper §3.3 "Query Processing" + §4; the
 /// automatic rewriting the paper leaves as future work is implemented here
-/// for the query shapes of the workloads):
+/// for the query shapes of the workloads). It reads every fact about the
+/// query from the compiled query's xquery::QueryAnalysis and walks the AST
+/// only to rewrite it:
 ///
 ///   - horizontal: one sub-query per fragment with the collection name
 ///     substituted; fragments whose selection predicate contradicts the
-///     query's conjunctive predicates are pruned (data localization).
-///     Top-level count()/sum() queries compose by summing.
+///     conjoined constraints of the query's call sites are pruned (data
+///     localization). Top-level count()/sum() queries compose by summing;
+///     other aggregates and some/every over the collection fetch the
+///     fragments and evaluate at the middleware.
 ///   - vertical: queries whose touched paths all fall inside a single
 ///     fragment are rewritten (path prefixes dropped) and routed to that
 ///     fragment alone; queries spanning fragments fall back to fetching
@@ -80,9 +84,9 @@ struct DistributedPlan {
 ///     needed fragments, with μ-contradiction pruning); pure-projection
 ///     fragments behave vertically; mixed access falls back to the join.
 ///
-/// The decomposer is conservative: whatever it cannot analyze it routes to
-/// every fragment (horizontal/hybrid) or to the join path (vertical), so
-/// answers remain correct.
+/// The decomposer is conservative: whatever the analysis cannot resolve
+/// it routes to every fragment (horizontal/hybrid) or to the join path
+/// (vertical), so answers remain correct.
 class QueryDecomposer {
  public:
   explicit QueryDecomposer(const DistributionCatalog* catalog)
