@@ -1,6 +1,5 @@
 #include "common/strings.h"
 
-#include <array>
 #include <bit>
 #include <cctype>
 #include <charconv>
@@ -102,46 +101,71 @@ std::string FormatNumber(double v) {
 
 namespace {
 
-/// Which bytes AppendEscapedXml replaces: kText for & < > (escaped
-/// everywhere), kAttr for the double quote (escaped in attribute values
-/// only).
-constexpr uint8_t kText = 1;
-constexpr uint8_t kAttr = 2;
-constexpr std::array<uint8_t, 256> kXmlEscapes = [] {
-  std::array<uint8_t, 256> table{};
-  table['&'] = kText | kAttr;
-  table['<'] = kText | kAttr;
-  table['>'] = kText | kAttr;
-  table['"'] = kAttr;
-  return table;
-}();
+constexpr uint64_t kEveryByte = 0x0101010101010101ull;
+
+/// Nonzero iff some byte of `word` is zero. Without a zero byte no
+/// subtraction borrows, and (b - 1) & ~b has its high bit clear for every
+/// b in 1..255; the lowest zero byte sees no borrow and yields 0x80.
+constexpr uint64_t HasZeroByte(uint64_t word) {
+  return (word - kEveryByte) & ~word & (kEveryByte * 0x80);
+}
+
+/// Nonzero iff one of the eight bytes of `word` is one AppendEscapedXml
+/// replaces. '<' (0x3C) and '>' (0x3E) differ only in bit 1, so setting
+/// that bit folds both onto 0x3E; in attribute mode '"' (0x22) and '&'
+/// (0x26) fold the same way onto 0x26 through bit 2. No other byte folds
+/// onto either value, so the test is exact for the word as a whole.
+uint64_t NeedsEscaping(uint64_t word, bool attr) {
+  const uint64_t angle = (word | kEveryByte * 0x02) ^ (kEveryByte * '>');
+  const uint64_t amp = attr ? (word | kEveryByte * 0x04) ^ (kEveryByte * '&')
+                            : word ^ (kEveryByte * '&');
+  return HasZeroByte(angle) | HasZeroByte(amp);
+}
 
 }  // namespace
 
 void AppendEscapedXml(std::string_view s, bool attr, std::string* out) {
-  const uint8_t mask = attr ? kAttr : kText;
-  size_t run = 0;
-  for (size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if ((kXmlEscapes[static_cast<unsigned char>(c)] & mask) == 0) continue;
-    out->append(s.data() + run, i - run);
-    switch (c) {
-      case '&':
-        out->append("&amp;");
-        break;
-      case '<':
-        out->append("&lt;");
-        break;
-      case '>':
-        out->append("&gt;");
-        break;
-      default:
-        out->append("&quot;");
-        break;
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  const char* run = p;  // first byte not yet appended
+  // Escapes the bytes [p, to) one at a time, flushing the pending run
+  // before each entity.
+  auto escape_bytes = [&](const char* to) {
+    for (; p < to; ++p) {
+      std::string_view entity;
+      switch (*p) {
+        case '&':
+          entity = "&amp;";
+          break;
+        case '<':
+          entity = "&lt;";
+          break;
+        case '>':
+          entity = "&gt;";
+          break;
+        case '"':
+          if (!attr) continue;
+          entity = "&quot;";
+          break;
+        default:
+          continue;
+      }
+      out->append(run, static_cast<size_t>(p - run));
+      out->append(entity);
+      run = p + 1;
     }
-    run = i + 1;
+  };
+  while (end - p >= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    if (NeedsEscaping(word, attr) == 0) {
+      p += 8;
+    } else {
+      escape_bytes(p + 8);
+    }
   }
-  out->append(s.data() + run, s.size() - run);
+  escape_bytes(end);
+  out->append(run, static_cast<size_t>(end - run));
 }
 
 std::string HumanBytes(uint64_t bytes) {

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <string>
+#include <string_view>
 
 #include "common/result.h"
 #include "common/rng.h"
@@ -111,6 +113,59 @@ TEST(StringsTest, XmlEscaping) {
   EXPECT_EQ(escaped("a<b&c>d\"e", false), "[a&lt;b&amp;c&gt;d\"e");
   EXPECT_EQ(escaped("a\"b", true), "[a&quot;b");
   EXPECT_EQ(escaped("", true), "[");
+}
+
+TEST(StringsTest, XmlEscapingMatchesByteAtATimeReference) {
+  auto reference = [](std::string_view s, bool attr) {
+    std::string out = "[";
+    for (char c : s) {
+      if (c == '&') {
+        out += "&amp;";
+      } else if (c == '<') {
+        out += "&lt;";
+      } else if (c == '>') {
+        out += "&gt;";
+      } else if (c == '"' && attr) {
+        out += "&quot;";
+      } else {
+        out += c;
+      }
+    }
+    return out;
+  };
+  // Mostly the neighbours of & < > " that a folded word test could
+  // confuse with them (0x22-0x27, 0x3C-0x3F), NUL (a zero byte is what
+  // the word test looks for), and high bytes (borrows and sign bits).
+  auto draw = [](Rng& rng) {
+    const uint64_t pick = rng.NextBelow(8);
+    if (pick == 0) return '\0';
+    if (pick < 4) return static_cast<char>(0x22 + rng.NextBelow(6));
+    if (pick < 6) return static_cast<char>(0x3C + rng.NextBelow(4));
+    return static_cast<char>(0x80 + rng.NextBelow(0x80));
+  };
+  constexpr char kMarks[] = {'&', '<', '>', '"'};
+  Rng rng(22);
+  for (size_t length = 0; length <= 40; ++length) {
+    // A marked byte at each offset (so at every offset modulo 8, in
+    // words that start at every alignment), and strings left unmarked.
+    for (size_t trial = 0; trial < 4 * (length + 1); ++trial) {
+      const size_t marked = trial % (length + 1);
+      const size_t skew = rng.NextBelow(8);
+      std::string buffer(skew + length, '\0');
+      for (char& c : buffer) c = draw(rng);
+      if (marked < length) {
+        buffer[skew + marked] = kMarks[rng.NextBelow(4)];
+      }
+      const std::string_view s = std::string_view(buffer).substr(skew);
+      for (bool attr : {false, true}) {
+        std::string out = "[";
+        AppendEscapedXml(s, attr, &out);
+        EXPECT_EQ(out, reference(s, attr))
+            << "length " << length << ", mark at " << marked << ", attr "
+            << attr;
+      }
+    }
+  }
 }
 
 TEST(StringsTest, Xxh64MatchesPublishedVectors) {
