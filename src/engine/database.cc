@@ -650,6 +650,9 @@ struct ResultCursor::State {
   xquery::Sequence pending;
   size_t pending_pos = 0;
   size_t block_items = 256;
+  /// Blocks produced so far, and the serialized bytes of the last one.
+  size_t blocks = 0;
+  size_t last_block_bytes = 0;
   QueryMetrics metrics;
   bool done = false;
 };
@@ -683,6 +686,15 @@ Result<bool> ResultCursor::Next(ResultBlock* block) {
       }
       if (!*more) break;  // evaluator drained
     }
+    if (block->items.empty() && st.pending_pos < st.pending.size()) {
+      // The block's string is sized once, as soon as the block is known
+      // to hold an item: like the block before it, or for a first block
+      // like the first block of the plan's previous cursor.
+      block->serialized.reserve(
+          st.blocks == 0
+              ? st.plan->first_block_bytes_.load(std::memory_order_relaxed)
+              : st.last_block_bytes);
+    }
     while (st.pending_pos < st.pending.size() &&
            block->items.size() < st.block_items) {
       xquery::Item& item = st.pending[st.pending_pos++];
@@ -706,6 +718,11 @@ Result<bool> ResultCursor::Next(ResultBlock* block) {
     st.metrics.elapsed_ms += watch.ElapsedMillis();
     return false;
   }
+  if (st.blocks++ == 0) {
+    st.plan->first_block_bytes_.store(block->serialized.size(),
+                                      std::memory_order_relaxed);
+  }
+  st.last_block_bytes = block->serialized.size();
   st.metrics.result_items += block->items.size();
   st.metrics.result_bytes += block->serialized.size();
   st.metrics.elapsed_ms += watch.ElapsedMillis();

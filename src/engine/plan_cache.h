@@ -1,6 +1,7 @@
 #ifndef PARTIX_ENGINE_PLAN_CACHE_H_
 #define PARTIX_ENGINE_PLAN_CACHE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <list>
@@ -23,10 +24,12 @@ namespace partix::xdb {
 /// ExecutePrepared() time, because stored documents change between
 /// executions while the query's structure does not.
 ///
-/// Thread-safety: deeply immutable; safe to share across threads. A plan
-/// prepared on one Database may be executed on another (the constraints
-/// are derived from the query alone), which is what lets the middleware
-/// ship one CompiledQuery to every replica of a fragment.
+/// Thread-safety: deeply immutable, apart from one relaxed atomic
+/// capacity hint that streaming execution reads and writes; safe to share
+/// across threads. The hint sizes buffers and never changes a byte of any
+/// answer. A plan prepared on one Database may be executed on another
+/// (the constraints are derived from the query alone), which is what lets
+/// the middleware ship one CompiledQuery to every replica of a fragment.
 struct PreparedQuery {
   xquery::CompiledQueryPtr compiled;
   /// PlanCollections(compiled->analysis()): one entry per referenced
@@ -35,6 +38,14 @@ struct PreparedQuery {
   /// Cost (ms) of building this plan: parse (when compiled locally from
   /// text) + static analysis. Paid once; plan-cache hits report 0.
   double compile_ms = 0.0;
+
+ private:
+  friend class ResultCursor;
+  /// Serialized bytes of the first block the plan's latest cursor
+  /// produced; the next cursor reserves that much for its own first
+  /// block. A whole-item answer fits in one block per fragment, so a
+  /// cursor-local hint would never fire where the bytes are.
+  mutable std::atomic<size_t> first_block_bytes_{0};
 };
 
 using PreparedQueryPtr = std::shared_ptr<const PreparedQuery>;

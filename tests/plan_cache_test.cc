@@ -10,6 +10,8 @@
 //     fault-injected retries
 //   - parse-once contract: a middleware execution parses on the
 //     coordinator thread exactly once
+//   - first-block capacity hint: one plan drained while its answer grows
+//     and shrinks, and from four threads at once, equals ExecutePrepared
 //   - concurrency: parallel Prepare/ExecutePreparedStream through a
 //     LocalXdbDriver (exercised under TSan by scripts/check.sh)
 
@@ -213,6 +215,108 @@ TEST_F(DisabledPlanCacheDbTest, CapacityZeroDisablesCaching) {
   auto result = db_.Execute(kCountQuery);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->serialized, "2");
+}
+
+// --- the first-block capacity hint --------------------------------------
+
+/// Concatenates every block of a fresh cursor over `plan`.
+Result<std::string> DrainCursor(const xdb::Database& db,
+                                const xdb::PreparedQuery& plan,
+                                size_t block_items) {
+  xdb::ExecParams exec;
+  exec.stream_block_items = block_items;
+  PARTIX_ASSIGN_OR_RETURN(xdb::ResultCursorPtr cursor,
+                          db.ExecutePreparedStream(plan, exec));
+  std::string out;
+  for (;;) {
+    xdb::ResultBlock block;
+    PARTIX_ASSIGN_OR_RETURN(const bool more, cursor->Next(&block));
+    if (!more) return out;
+    out += block.serialized;
+  }
+}
+
+/// An Item whose Description repeats a phrase with characters to escape
+/// `words` times.
+std::string LargeItem(int code, size_t words) {
+  std::string description;
+  for (size_t i = 0; i < words; ++i) description += "R&amp;B &lt;live&gt; ";
+  return "<Item><Code>" + std::to_string(code) +
+         "</Code><Section>CD</Section><Description>" + description +
+         "</Description></Item>";
+}
+
+TEST_F(PlanCacheDbTest, CursorHintKeepsAnswersAsTheyGrowAndShrink) {
+  // Whole items while the collection holds at most six documents, then
+  // one Code: the answer grows as documents are stored and shrinks past
+  // the sixth. Every cursor's first block reserves what the plan's
+  // previous first block held, which was sized for another answer.
+  auto prepared = db_.Prepare(
+      "if (count(collection(\"items\")/Item) > 6) "
+      "then collection(\"items\")/Item[Code = 1]/Code "
+      "else collection(\"items\")/Item");
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  std::vector<size_t> sizes;
+  auto drain = [&](const std::string& stage) {
+    auto reference = db_.ExecutePrepared(*prepared->plan);
+    ASSERT_TRUE(reference.ok()) << stage << ": " << reference.status();
+    sizes.push_back(reference->serialized.size());
+    for (int run = 0; run < 2; ++run) {
+      for (size_t block_items : {size_t{1}, size_t{256}}) {
+        auto drained = DrainCursor(db_, *prepared->plan, block_items);
+        ASSERT_TRUE(drained.ok()) << stage << ": " << drained.status();
+        EXPECT_EQ(*drained, reference->serialized)
+            << stage << ", block_items " << block_items;
+      }
+    }
+  };
+  drain("two small items");
+  for (int code = 3; code <= 6; ++code) {
+    ASSERT_TRUE(db_.StoreSerialized("items", "d" + std::to_string(code),
+                                    LargeItem(code, 200 * code))
+                    .ok());
+  }
+  drain("four large items more");
+  ASSERT_TRUE(db_.StoreSerialized("items", "d7", LargeItem(7, 10)).ok());
+  drain("seven items");
+  ASSERT_EQ(sizes.size(), 3u);
+  EXPECT_GT(sizes[1], sizes[0]);
+  EXPECT_LT(sizes[2], sizes[0]);
+}
+
+TEST(PreparedPlanConcurrencyTest, ConcurrentCursorsShareOnePlan) {
+  // Cursors over one shared PreparedQuery, on four threads at once, read
+  // and write its first-block hint; block sizes differ by thread, so the
+  // hint each cursor reads was left by a cursor that cut other blocks.
+  xdb::Database db;
+  ASSERT_TRUE(db.CreateCollection("items").ok());
+  for (int code = 1; code <= 8; ++code) {
+    ASSERT_TRUE(db.StoreSerialized("items", "d" + std::to_string(code),
+                                   LargeItem(code, 20 * code))
+                    .ok());
+  }
+  auto prepared = db.Prepare("collection(\"items\")/Item");
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  auto reference = db.ExecutePrepared(*prepared->plan);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  constexpr int kThreads = 4;
+  constexpr int kIters = 25;
+  std::vector<std::thread> threads;
+  std::vector<int> ok_counts(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const size_t block_items = size_t{1} << (2 * t);  // 1, 4, 16, 64
+      for (int i = 0; i < kIters; ++i) {
+        auto drained = DrainCursor(db, *prepared->plan, block_items);
+        if (drained.ok() && *drained == reference->serialized) {
+          ++ok_counts[t];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(ok_counts[t], kIters);
 }
 
 // --- concurrency through the driver (TSan coverage) ----------------------
