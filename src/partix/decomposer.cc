@@ -1,7 +1,5 @@
 #include "partix/decomposer.h"
 
-#include <algorithm>
-
 #include "common/strings.h"
 #include "xpath/predicate.h"
 #include "xquery/analysis.h"
@@ -175,22 +173,36 @@ Predicate LocalizePredicate(const Predicate& p,
 // ---------------------------------------------------------------------
 
 /// Rewrites a query for execution against a fragment: renames every
-/// collection("old") call to `new_name` and drops up to `drop_steps`
-/// leading child-axis steps of each path rooted at one (the path prefix
-/// that lies above the fragment's document roots). Fails when a dropped
-/// step is not a plain child step or carries predicates.
+/// collection("old") call to `new_name` and drops `drop_steps` leading
+/// child-axis steps of each path rooted at one (the path prefix that lies
+/// above the fragment's document roots). Fails when a dropped step is not
+/// a plain child step or carries predicates, and when a path (or a bare
+/// call, a path of no steps) stops above the fragment's roots: no
+/// fragment document holds the node it selects.
 Status RewriteForFragment(Expr* e, const std::string& old_name,
                           const std::string& new_name, size_t drop_steps) {
   if (xquery::AsCollectionCall(*e) == old_name) {
+    if (drop_steps > 0) {
+      return Status::FailedPrecondition(
+          "collection(\"" + old_name + "\") without a path is not "
+          "rewritable for fragment '" + new_name + "'");
+    }
     e->As<FunctionCall>().args[0]->As<StringLit>().value = new_name;
     return Status::Ok();
   }
+  // The renamed call of a path whose prefix was dropped here.
+  const Expr* rooted_call = nullptr;
   if (e->Is<PathExpr>() && drop_steps > 0) {
     auto& p = e->As<PathExpr>();
     if (p.source != nullptr &&
         xquery::AsCollectionCall(*p.source) == old_name) {
-      size_t to_drop = std::min(drop_steps, p.steps.size());
-      for (size_t i = 0; i < to_drop; ++i) {
+      if (p.steps.size() < drop_steps) {
+        return Status::FailedPrecondition(
+            "path of " + std::to_string(p.steps.size()) +
+            " step(s) stops above the " + std::to_string(drop_steps) +
+            "-step prefix of fragment '" + new_name + "'");
+      }
+      for (size_t i = 0; i < drop_steps; ++i) {
         const AxisStep& s = p.steps[i];
         if (s.step.axis != xpath::Axis::kChild || s.step.wildcard ||
             s.step.is_attribute || !s.predicates.empty() ||
@@ -200,13 +212,15 @@ Status RewriteForFragment(Expr* e, const std::string& old_name,
               "' is not rewritable for fragment '" + new_name + "'");
         }
       }
-      p.steps.erase(p.steps.begin(), p.steps.begin() + to_drop);
+      p.steps.erase(p.steps.begin(), p.steps.begin() + drop_steps);
+      rooted_call = p.source.get();
     }
   }
   Status status;
   xquery::ForEachChild(*e, [&](Expr& child) {
     if (status.ok()) {
-      status = RewriteForFragment(&child, old_name, new_name, drop_steps);
+      status = RewriteForFragment(&child, old_name, new_name,
+                                  &child == rooted_call ? 0 : drop_steps);
     }
   });
   return status;
@@ -442,8 +456,11 @@ Result<DistributedPlan> QueryDecomposer::Decompose(
         plan.notes.push_back("rewrite failed: " +
                              rewritten.status().message());
       }
-      plan.notes.push_back("multi-fragment vertical query; join at "
-                           "middleware");
+      plan.notes.push_back(needed.size() == 1
+                               ? "one vertical fragment; fetched and "
+                                 "evaluated at middleware"
+                               : "multi-fragment vertical query; join at "
+                                 "middleware");
       PARTIX_RETURN_IF_ERROR(add_fetch_subqueries(needed));
       plan.pruned_fragments = schema.fragments.size() - needed.size();
       return plan;

@@ -84,6 +84,10 @@ struct DistributedPlan {
 ///     needed fragments, with μ-contradiction pruning); pure-projection
 ///     fragments behave vertically; mixed access falls back to the join.
 ///
+/// A rewrite that must drop a path prefix fails for a path from
+/// collection() that stops above the fragment's document roots (or a bare
+/// collection() call); those plans fetch and evaluate too.
+///
 /// The decomposer is conservative: whatever the analysis cannot resolve
 /// it routes to every fragment (horizontal/hybrid) or to the join path
 /// (vertical), so answers remain correct.

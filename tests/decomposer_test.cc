@@ -7,6 +7,7 @@
 #include "gtest/gtest.h"
 #include "partix/catalog.h"
 #include "partix/query_service.h"
+#include "workload/schemas.h"
 #include "xpath/predicate.h"
 
 namespace partix::middleware {
@@ -265,6 +266,31 @@ TEST(ExplainTest, RendersReplicaSetsAndPlanReplicas) {
       << *text;
   // All nodes healthy: no failover annotations.
   EXPECT_EQ(text->find("failover"), std::string::npos) << *text;
+}
+
+TEST(ExplainTest, SingleVerticalFragmentFetchIsNotCalledAJoin) {
+  // The one needed fragment sits under a step with a predicate, which the
+  // rewrite cannot drop, so the plan fetches that fragment alone.
+  auto schema = workload::ArticleVerticalSchema("papers");
+  ASSERT_TRUE(schema.ok()) << schema.status();
+  std::vector<FragmentPlacement> placements;
+  for (size_t i = 0; i < schema->fragments.size(); ++i) {
+    placements.push_back(FragmentPlacement{
+        .fragment = schema->fragments[i].name(), .node = i});
+  }
+  DistributionCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Register(std::move(*schema), std::move(placements)).ok());
+  QueryDecomposer decomposer(&catalog);
+  auto plan = decomposer.Decompose(
+      "collection(\"papers\")/article[prolog/genre = \"survey\"]"
+      "/prolog/title");
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->composition, Composition::kJoinReconstruct);
+  EXPECT_EQ(Fragments(*plan), std::vector<std::string>{"papers_prolog"});
+  ASSERT_FALSE(plan->notes.empty());
+  EXPECT_EQ(plan->notes.back(),
+            "one vertical fragment; fetched and evaluated at middleware");
 }
 
 TEST(DecomposerErrorsTest, UnknownCollection) {

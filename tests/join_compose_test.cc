@@ -15,6 +15,9 @@
 //     centralized Store, in both FragModes, where subtrees pruned from
 //     the middle of a parent and interleaved instances must land back in
 //     their source positions
+//   - short rooted paths: a Store path that stops above the Item
+//     fragments' prefix fetches and evaluates, and answers like the
+//     centralized Store in both FragModes
 //   - wire round trip: every stored fragment decodes to the origin id and
 //     scaffold flag of every node the fragmenter recorded
 //   - hostile metadata: missing, unparsable, non-increasing or
@@ -291,6 +294,47 @@ TEST_P(StoreJoinP, AnswersEqualTheCentralizedStore) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, StoreJoinP,
+    ::testing::Values(frag::HybridMode::kOneDocPerSubtree,
+                      frag::HybridMode::kSinglePrunedDoc),
+    [](const ::testing::TestParamInfo<frag::HybridMode>& info) {
+      return ModeName(info.param);
+    });
+
+// --- a rooted path shorter than the prefix above the fragments ----------
+
+class ShortRootedPathP : public ::testing::TestWithParam<frag::HybridMode> {};
+
+TEST_P(ShortRootedPathP, AnswersEqualTheCentralizedStore) {
+  // The Item fragments hold what lies below /Store/Items (FragMode1: one
+  // document per Item; FragMode2: one Items document). A path from
+  // collection() that stops above that prefix cannot be rewritten for a
+  // fragment by dropping steps, so the plan fetches and evaluates.
+  StoreSetup setup;
+  ASSERT_NO_FATAL_FAILURE(DeployStore(GetParam(), &setup));
+  const std::vector<std::string> queries = {
+      "for $s in collection(\"store\")/Store, $i in $s/Items/Item "
+      "where $i/Section = \"CD\" return $i/Code",
+      "for $s in collection(\"store\")/Store/Items, $i in $s/Item "
+      "where $i/Section = \"CD\" return $i/Code",
+      "for $s in collection(\"store\"), $i in $s/Store/Items/Item "
+      "where $i/Section = \"CD\" return $i/Code"};
+  for (const std::string& query : queries) {
+    auto expected = setup.centralized->service().Execute(query);
+    ASSERT_TRUE(expected.ok()) << query << ": " << expected.status();
+    EXPECT_NE(expected->serialized, "") << query;
+    for (bool streaming : {true, false}) {
+      ExecutionOptions options;
+      options.streaming = streaming;
+      auto result = setup.fragmented->service().Execute(query, options);
+      ASSERT_TRUE(result.ok()) << query << ": " << result.status();
+      EXPECT_EQ(result->serialized, expected->serialized)
+          << query << " streaming=" << streaming;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, ShortRootedPathP,
     ::testing::Values(frag::HybridMode::kOneDocPerSubtree,
                       frag::HybridMode::kSinglePrunedDoc),
     [](const ::testing::TestParamInfo<frag::HybridMode>& info) {
